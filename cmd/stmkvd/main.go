@@ -69,9 +69,9 @@ func main() {
 		walDir        = flag.String("wal-dir", "", "write-ahead-log directory; enables durability (replay on boot, log on commit)")
 		walBatch      = flag.Int("wal-fsync-batch", 8, "group-commit batch: fsync once per this many records (1 = per commit, 0 = never fsync)")
 		walInterval   = flag.Duration("wal-fsync-interval", time.Millisecond, "max time a commit waits for its group to fill before fsyncing anyway")
-		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "log segment rotation threshold in bytes (0 = 64 MiB)")
+		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "ceiling on a log segment's size in bytes (0 = 64 MiB); a checkpoint rolls the segment earlier once it outgrows the snapshot, so this binds only without checkpoints")
 		walQueue      = flag.Int("wal-append-queue", 0, "per-shard append-pipeline depth: records are encoded outside and written off the shard critical section (0 = default 1024, negative = legacy buffered appends under the shard lock)")
-		snapshotEvery = flag.Duration("snapshot-every", time.Minute, "interval between snapshot checkpoints (truncating covered log segments; 0 = never)")
+		snapshotEvery = flag.Duration("snapshot-every", time.Minute, "interval between snapshot checkpoints (rolling and truncating covered log segments, skipping idle shards; 0 = never)")
 		walIncrSnaps  = flag.Bool("wal-incremental-snapshots", false, "checkpoint by merging only dirtied keys into the previous snapshot instead of rescanning the shard")
 		walFullEvery  = flag.Int("wal-full-snapshot-every", 0, "with -wal-incremental-snapshots, force a full-scan snapshot every Nth checkpoint per shard (0 = default 8)")
 		walScrubEvery = flag.Duration("wal-scrub-interval", 0, "background scrub period: re-verify sealed log segments and snapshots, quarantining corrupt files (0 = never)")

@@ -263,10 +263,14 @@ func TestDurableMetricSourceConformance(t *testing.T) {
 			"stmkvd_wal_quarantined":            false,
 			"stmkvd_wal_rescued_segments_total": false,
 			"stmkvd_wal_failed":                 false,
+			"stmkvd_wal_log_bytes":              false,
 		}
 		for _, m := range s.WAL().ObsMetrics() {
 			if _, ok := want[m.Name]; ok {
 				want[m.Name] = true
+			}
+			if m.Name == "stmkvd_wal_log_bytes" && m.Value == 0 {
+				t.Fatal("stmkvd_wal_log_bytes is 0 with records in the live segments")
 			}
 		}
 		for name, ok := range want {

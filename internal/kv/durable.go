@@ -505,6 +505,16 @@ func (s *Store) doneInflight(xid uint64) {
 	s.wimu.Unlock()
 }
 
+// truncBound is how far a checkpoint covering shard sid through covered may
+// truncate: below the shard's lowest in-flight cross-shard record, whose copy
+// here a peer's rescue may still need.
+func (s *Store) truncBound(sid int, covered uint64) uint64 {
+	if min := s.minInflightLSN(sid); min > 0 && min-1 < covered {
+		return min - 1
+	}
+	return covered
+}
+
 // minInflightLSN returns the lowest LSN on shard sid belonging to an
 // in-flight cross-shard transaction, or 0 when none.
 func (s *Store) minInflightLSN(sid int) uint64 {
@@ -821,11 +831,17 @@ func (s *Store) checkpointLoop(every time.Duration) {
 	}
 }
 
-// snapshotAttempts bounds the optimistic read-only full-scan tries before a
-// checkpoint falls back to holding the shard gate exclusively. The scan
-// reads every bucket header, so any concurrent commit on the shard dooms it;
-// under sustained write load the optimistic path may never win.
+// snapshotAttempts bounds the optimistic tries of one checkpoint collection
+// transaction (a bucket range of a full scan, or a chunk of dirty keys)
+// before it falls back to holding the shard gate exclusively, which stalls
+// the shard's writers.
 const snapshotAttempts = 4
+
+// scanChunkBuckets is how many hash buckets one read-only transaction of a
+// full checkpoint scan reads. A whole-shard scan conflicts with every commit
+// on the shard and under write load ends in the exclusive-gate fallback; a
+// short range conflicts only with commits to its own buckets.
+const scanChunkBuckets = 32
 
 // Checkpoint writes a snapshot checkpoint for every shard and truncates the
 // log segments it covers. The first error is returned but does not stop the
@@ -857,6 +873,14 @@ func (s *Store) checkpointShard(sid int) error {
 	sh := &s.shards[sid]
 	sh.cpmu.Lock()
 	defer sh.cpmu.Unlock()
+	// An idle shard — nothing appended since its latest snapshot — would
+	// rescan and rewrite an identical snapshot. Skip it, but still truncate:
+	// the last checkpoint's truncation may have been clamped by a cross-shard
+	// commit that has since become durable everywhere.
+	l := s.wal.Log(sid)
+	if snap, ok := s.wal.LatestSnapshotLSN(sid); ok && l.AppendedLSN() == snap {
+		return l.Truncate(s.truncBound(sid, snap))
+	}
 	if !s.walIncr {
 		return s.checkpointFull(sid)
 	}
@@ -867,7 +891,6 @@ func (s *Store) checkpointShard(sid int) error {
 	// with LSN <= covered therefore either predates a previous take (its key
 	// is in an already-written snapshot) or is in this taken set; keys
 	// dirtied after the take stay in sh.dirty for the next checkpoint.
-	l := s.wal.Log(sid)
 	sh.xmu.RLock()
 	sh.wmu.Lock()
 	sh.dmu.Lock()
@@ -926,11 +949,7 @@ func (s *Store) checkpointIncremental(sid int, covered uint64, dirty map[string]
 	if err := l.Sync(observed); err != nil {
 		return err
 	}
-	truncTo := covered
-	if min := s.minInflightLSN(sid); min > 0 && min-1 < truncTo {
-		truncTo = min - 1
-	}
-	return s.wal.CheckpointIncremental(sid, covered, truncTo,
+	return s.wal.CheckpointIncremental(sid, covered, s.truncBound(sid, covered),
 		func(key []byte) bool {
 			_, isDirty := dirty[string(key)]
 			return isDirty
@@ -978,11 +997,7 @@ func (s *Store) checkpointFull(sid int) error {
 	if err := l.Sync(observed); err != nil {
 		return err
 	}
-	truncTo := covered
-	if min := s.minInflightLSN(sid); min > 0 && min-1 < truncTo {
-		truncTo = min - 1
-	}
-	return s.wal.Checkpoint(sid, covered, truncTo, func(emit func(k, v []byte) error) error {
+	return s.wal.Checkpoint(sid, covered, s.truncBound(sid, covered), func(emit func(k, v []byte) error) error {
 		for _, kv := range pairs {
 			if err := emit(kv[0], kv[1]); err != nil {
 				return err
@@ -1010,18 +1025,28 @@ func (s *Store) collectShard(sid int, body func(t *Tx) error) error {
 	return s.runSingle(nil, engine.RunOptions{MaxAttempts: 2}, sid, true, body)
 }
 
-// collectShardPairs snapshots one shard's full contents.
+// collectShardPairs snapshots one shard's full contents, scanning
+// scanChunkBuckets buckets per read-only transaction. The ranges are read at
+// different instants, which is safe by the incremental checkpoint's rule:
+// each key lives in one bucket, so it is read once, at a state no older than
+// covered; replaying (covered, tail] over it is idempotent because effects
+// are absolute; and checkpointFull's barrier after the scan makes every
+// effect any range observed durable before the snapshot lands.
 func (s *Store) collectShardPairs(sid int) ([][2][]byte, error) {
 	var pairs [][2][]byte
-	err := s.collectShard(sid, func(t *Tx) error {
-		pairs = pairs[:0]
-		t.scanShard(sid, func(k, v []byte) {
-			pairs = append(pairs, [2][]byte{k, v})
+	for lo := 0; lo < s.buckets; lo += scanChunkBuckets {
+		hi := min(lo+scanChunkBuckets, s.buckets)
+		base := len(pairs)
+		err := s.collectShard(sid, func(t *Tx) error {
+			pairs = pairs[:base]
+			t.scanBuckets(sid, lo, hi, func(k, v []byte) {
+				pairs = append(pairs, [2][]byte{k, v})
+			})
+			return nil
 		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
 	return pairs, nil
 }

@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"memtx"
 	"memtx/internal/wal"
+	"memtx/internal/wal/walfs"
 )
 
 func testDurableConfig(dir string) DurableConfig {
@@ -238,6 +240,305 @@ func TestDurableCheckpointTruncatesAndReplays(t *testing.T) {
 	if v, ok := s2.Get([]byte("post07")); !ok || string(v) != "x" {
 		t.Fatalf("post-checkpoint write lost: %q %v", v, ok)
 	}
+}
+
+// dirBytes sums the sizes of the files in each shard directory whose names
+// end in suffix.
+func dirBytes(t *testing.T, fsys walfs.FS, root string, shards int, suffix string) int64 {
+	t.Helper()
+	var n int64
+	for sid := 0; sid < shards; sid++ {
+		dir := wal.ShardDir(root, sid)
+		names, err := fsys.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if filepath.Ext(name) != suffix {
+				continue
+			}
+			sz, err := fsys.Size(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += sz
+		}
+	}
+	return n
+}
+
+// TestCheckpointBoundsLogSpace pins the log-space bound at the default
+// segment size: once two checkpoints have run, the bytes left in log
+// segments are at most the snapshot bytes plus the bytes appended since the
+// first checkpoint. Rewriting a small key set many times makes the history
+// far larger than the live data, so a log that keeps its covered prefix
+// fails the bound. Both append paths are checked.
+func TestCheckpointBoundsLogSpace(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		queue int
+	}{{"pipelined", 0}, {"buffered", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const shards = 4
+			fsys := walfs.NewMem()
+			s, _, err := Open(Config{Shards: shards, Buckets: 64},
+				DurableConfig{Dir: "wal", FS: fsys, FsyncBatch: 1, AppendQueue: tc.queue})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeStore(t, s)
+			val := make([]byte, 200)
+			rewrite := func(rounds int) {
+				for r := 0; r < rounds; r++ {
+					for i := 0; i < 64; i++ {
+						s.Set([]byte(fmt.Sprintf("k%02d", i)), val)
+					}
+				}
+			}
+			rewrite(20)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			appended := walMetric(t, s, "stmkvd_wal_append_bytes_total")
+			rewrite(3)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			since := int64(walMetric(t, s, "stmkvd_wal_append_bytes_total") - appended)
+			logBytes := dirBytes(t, fsys, "wal", shards, ".seg")
+			snapBytes := dirBytes(t, fsys, "wal", shards, ".snap")
+			if logBytes > snapBytes+since {
+				t.Fatalf("after two checkpoints the log holds %d bytes > snapshots %d + appended since the first checkpoint %d",
+					logBytes, snapBytes, since)
+			}
+			if got := walMetric(t, s, "stmkvd_wal_log_bytes"); int64(got) != logBytes {
+				t.Fatalf("stmkvd_wal_log_bytes = %d, segments on disk hold %d", got, logBytes)
+			}
+			// One checkpoint-requested roll per shard, and the second
+			// checkpoint deleted each rolled segment.
+			if got := walMetric(t, s, "stmkvd_wal_rotations_total"); got != shards {
+				t.Fatalf("%d rotations, want one per shard (%d)", got, shards)
+			}
+			if got := walMetric(t, s, "stmkvd_wal_truncated_segments_total"); got != shards {
+				t.Fatalf("%d truncated segments, want one per shard (%d)", got, shards)
+			}
+		})
+	}
+}
+
+// TestCheckpointRollKeepsInflightCopy pins the truncation clamp once
+// checkpoints roll segments: a cross-shard commit still in flight must keep
+// its log copies through a roll and a covering checkpoint, since a peer's
+// rescue may need them, and loses them to the first checkpoint after it is
+// durable everywhere.
+func TestCheckpointRollKeepsInflightCopy(t *testing.T) {
+	fsys := walfs.NewMem()
+	s, _, err := Open(Config{Shards: 4, Buckets: 64}, DurableConfig{Dir: "wal", FS: fsys, FsyncBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeStore(t, s)
+	a, b := crossPair(t, s)
+	val := make([]byte, 200)
+	for r := 0; r < 20; r++ {
+		s.Set(a, val)
+		s.Set(b, val)
+	}
+	// The logs now hold far more than the snapshots: this checkpoint asks
+	// both shards to roll, and the transfer's copies are the next appends.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sb := s.NewSyncBatch()
+	if err := s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+		tx.Set(a, []byte("1"))
+		tx.Set(b, []byte("2"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	copies := func() int {
+		n := 0
+		for _, sid := range []int{s.KeyShard(a), s.KeyShard(b)} {
+			sc, err := wal.ScanShard(fsys, wal.ShardDir("wal", sid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range sc.Records {
+				if rec.Kind == wal.KindXCommit {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walMetric(t, s, "stmkvd_wal_rotations_total"); got < 2 {
+		t.Fatalf("%d rotations; both participants should have rolled after the transfer", got)
+	}
+	if got := copies(); got != 2 {
+		t.Fatalf("in-flight transfer has %d log copies after a covering checkpoint, want 2", got)
+	}
+	if err := sb.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := copies(); got != 0 {
+		t.Fatalf("durable transfer still has %d log copies after a covering checkpoint, want 0", got)
+	}
+}
+
+// holdFS stalls vectored writes to files under dir while held, freezing one
+// shard's appender with records queued.
+type holdFS struct {
+	walfs.FS
+	dir     string
+	held    atomic.Bool
+	release chan struct{}
+}
+
+func (h *holdFS) Create(path string, excl bool) (walfs.File, error) {
+	f, err := h.FS.Create(path, excl)
+	if err != nil || filepath.Dir(path) != h.dir {
+		return f, err
+	}
+	return &holdFile{File: f, h: h}, nil
+}
+
+type holdFile struct {
+	walfs.File
+	h *holdFS
+}
+
+func (f *holdFile) Writev(bufs [][]byte) error {
+	if f.h.held.Load() {
+		<-f.h.release
+	}
+	return f.File.Writev(bufs)
+}
+
+// TestRescueKeepsPeerPrefix recovers a crash in which one shard's appender
+// was stalled with a single-shard transfer queued ahead of its copy of a
+// cross-shard transfer that read the same account. Recovery may rescue the
+// cross-shard transfer's absolute values from the other shard's copy only if
+// that copy cannot outlive the stalled shard's earlier record; otherwise the
+// rescue lands on a log missing a debit the values include, and the account
+// total comes out one short.
+func TestRescueKeepsPeerPrefix(t *testing.T) {
+	mem := walfs.NewRecordingMem()
+	hold := &holdFS{FS: mem, dir: wal.ShardDir("wal", 1), release: make(chan struct{})}
+	s, _, err := Open(Config{Shards: 2, Buckets: 64}, DurableConfig{Dir: "wal", FS: hold, FsyncBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x, y, z []byte
+	for i := 0; x == nil || y == nil || z == nil; i++ {
+		k := []byte(fmt.Sprintf("acct-%03d", i))
+		switch {
+		case s.KeyShard(k) == 0 && x == nil:
+			x = k
+		case s.KeyShard(k) == 1 && y == nil:
+			y = k
+		case s.KeyShard(k) == 1 && z == nil:
+			z = k
+		}
+	}
+	for _, k := range [][]byte{x, y, z} {
+		s.Set(k, []byte("100"))
+	}
+	move := func(sb *SyncBatch, from, to []byte) {
+		t.Helper()
+		if err := s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{from, to}, sb, func(tx *Tx) error {
+			if _, err := tx.Add(from, -1); err != nil {
+				return err
+			}
+			_, err := tx.Add(to, 1)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold.held.Store(true)
+	sb := s.NewSyncBatch()
+	// A single-shard transfer on shard 1, queued behind the stall, then a
+	// cross-shard one whose value for y includes its debit. Shard 0's
+	// appender runs meanwhile.
+	move(sb, y, z)
+	move(sb, x, y)
+	time.Sleep(20 * time.Millisecond)
+	crash := walfs.CrashState(mem.Journal())
+	close(hold.release)
+	if err := sb.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	closeStore(t, s)
+
+	s2, _, err := Open(Config{Shards: 2, Buckets: 64}, DurableConfig{Dir: "wal", FS: crash, FsyncBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeStore(t, s2)
+	var sum int64
+	for _, k := range [][]byte{x, y, z} {
+		v, ok := s2.Get(k)
+		n, err := ParseInt(v)
+		if !ok || err != nil {
+			t.Fatalf("%s recovered as %q (present %v)", k, v, ok)
+		}
+		sum += n
+	}
+	if sum != 300 {
+		t.Fatalf("accounts sum to %d after recovery, want 300: a rescued transfer tore", sum)
+	}
+}
+
+// TestIdleShardSkipsCheckpoint checks that the periodic checkpointer stops
+// rewriting snapshots once nothing is appended, and resumes on a new write.
+func TestIdleShardSkipsCheckpoint(t *testing.T) {
+	s, _, err := Open(Config{Shards: 4, Buckets: 64},
+		DurableConfig{Dir: "wal", FS: walfs.NewMem(), FsyncBatch: 1, SnapshotEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeStore(t, s)
+	for i := 0; i < 64; i++ {
+		s.Set([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
+	}
+	snapshots := func() uint64 { return walMetric(t, s, "stmkvd_wal_snapshots_total") }
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// Every shard has a snapshot covering everything appended.
+	waitFor("every shard to checkpoint", func() bool {
+		for sid := 0; sid < s.Shards(); sid++ {
+			lsn, ok := s.WAL().LatestSnapshotLSN(sid)
+			if !ok || lsn != s.WAL().Log(sid).AppendedLSN() {
+				return false
+			}
+		}
+		return true
+	})
+	// A checkpoint in flight may have renamed its snapshot but not yet
+	// counted it; this call queues behind it on the shard locks.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	idle := snapshots()
+	time.Sleep(50 * time.Millisecond) // dozens of checkpoint periods
+	if got := snapshots(); got != idle {
+		t.Fatalf("idle store kept writing snapshots: %d -> %d", idle, got)
+	}
+	s.Set([]byte("k00"), []byte("w"))
+	waitFor("a checkpoint after a new write", func() bool { return snapshots() > idle })
 }
 
 func TestDurableSnapshotNewerThanLogTail(t *testing.T) {

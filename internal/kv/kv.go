@@ -1222,15 +1222,14 @@ func (t *Tx) Len() int {
 	return total
 }
 
-// scanShard walks every chain in one shard, calling fn with a freshly
-// allocated copy of each key/value pair. The checkpointer uses it to collect
-// a shard snapshot; like Len it reads every bucket header, so it conflicts
-// with every concurrent insert and delete on the shard.
-func (t *Tx) scanShard(sid int, fn func(key, val []byte)) {
+// scanBuckets walks the chains of buckets [lo, hi) in one shard, calling fn
+// with a freshly allocated copy of each key/value pair. The checkpointer
+// collects a shard snapshot a bucket range at a time with it.
+func (t *Tx) scanBuckets(sid, lo, hi int, fn func(key, val []byte)) {
 	raw := t.txnFor(sid)
 	dir := t.s.shards[sid].dir
 	raw.OpenForRead(dir)
-	for b := 0; b < t.s.buckets; b++ {
+	for b := lo; b < hi; b++ {
 		hdr := raw.LoadRef(dir, b)
 		raw.OpenForRead(hdr)
 		for n := raw.LoadRef(hdr, 0); n != nil; {

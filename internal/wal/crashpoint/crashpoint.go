@@ -26,7 +26,9 @@ package crashpoint
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
+	"memtx"
 	"memtx/internal/kv"
 	"memtx/internal/wal/walfs"
 )
@@ -38,7 +40,8 @@ type Config struct {
 	// Buckets is hash buckets per shard (0 = 64).
 	Buckets int
 	// SegmentBytes is the log rotation threshold; small values force
-	// rotations mid-workload (0 = 2048).
+	// rotations mid-workload (0 = 2048). A negative value leaves the WAL's
+	// 64 MiB default, so only checkpoints roll segments.
 	SegmentBytes int64
 	// TornStride is the byte stride for torn-final-write variants
 	// (0 = walfs.SectorSize).
@@ -55,6 +58,9 @@ type Stats struct {
 	States int
 	// TornStates is the number of additional sector-torn states recovered.
 	TornStates int
+	// SegmentRemovals is the number of log segments the workload's
+	// checkpoints truncated.
+	SegmentRemovals int
 }
 
 // ackedOp is one client operation with its journal footprint: the journal
@@ -124,6 +130,11 @@ func Explore(cfg Config) (Stats, error) {
 		return Stats{}, fmt.Errorf("crashpoint: workload failed: %w", err)
 	}
 	st := Stats{JournalOps: len(tr.ops)}
+	for _, op := range tr.ops {
+		if op.Kind == walfs.OpRemove && strings.HasSuffix(op.Path, ".seg") {
+			st.SegmentRemovals++
+		}
+	}
 	logf("crashpoint: recorded %d filesystem ops, %d acked ops, %d transfers",
 		len(tr.ops), len(tr.acks), len(tr.vectors)-1)
 
@@ -211,10 +222,13 @@ func record(cfg Config) (*trace, error) {
 		return nil
 	}
 	// transfer moves amt from bank a to bank b in one cross-shard
-	// transaction and records the resulting balance vector.
-	transfer := func(a, b, amt int) error {
+	// transaction and records the resulting balance vector. With a non-nil
+	// sb the durability wait is deferred: the transfer stays in flight — its
+	// copies logged but not yet known durable on every participant — while
+	// between runs, and is acknowledged once sb.Wait returns.
+	transfer := func(a, b, amt int, sb *kv.SyncBatch, between func() error) error {
 		start := fsys.JournalLen()
-		err := store.AtomicKeys([][]byte{bankKey(a), bankKey(b)}, func(t *kv.Tx) error {
+		err := store.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{bankKey(a), bankKey(b)}, sb, func(t *kv.Tx) error {
 			av, _ := t.Get(bankKey(a))
 			bv, _ := t.Get(bankKey(b))
 			an, _ := strconv.Atoi(string(av))
@@ -224,6 +238,14 @@ func record(cfg Config) (*trace, error) {
 			return nil
 		})
 		if err != nil {
+			return err
+		}
+		if between != nil {
+			if err := between(); err != nil {
+				return err
+			}
+		}
+		if err := sb.Wait(); err != nil {
 			return err
 		}
 		prev := tr.vectors[len(tr.vectors)-1]
@@ -264,8 +286,15 @@ func record(cfg Config) (*trace, error) {
 	tr.jFund = fsys.JournalLen()
 
 	// Phase C: cross-shard transfers interleaved with single-key writes,
-	// with a checkpoint (snapshot + truncation) in the middle so crash
-	// states cover snapshot writes, renames, and segment removal.
+	// with two checkpoints (snapshot + roll + truncation) in the middle so
+	// crash states cover snapshot writes, renames, segment rolls and
+	// segment removal. One transfer stays in flight across both: the first
+	// checkpoint asks each shard whose log outgrew its snapshot to roll, the
+	// transfer's copies are the first appends and so land in the segments
+	// that roll, and the second checkpoint covers them while the transfer
+	// is not yet acknowledged. (That its truncation keeps the copies is
+	// pinned by kv's TestCheckpointRollKeepsInflightCopy: in this crash
+	// model a copy written before the truncation persists either way.)
 	lcg := uint32(1)
 	next := func(n int) int {
 		lcg = lcg*1664525 + 1013904223
@@ -274,7 +303,15 @@ func record(cfg Config) (*trace, error) {
 	for i := 0; i < 12; i++ {
 		a := next(nbanks)
 		b := (a + 1 + next(nbanks-1)) % nbanks
-		if err := transfer(a, b, 1+next(5)); err != nil {
+		var sb *kv.SyncBatch
+		var between func() error
+		if i == 6 {
+			if err := store.Checkpoint(); err != nil {
+				return nil, err
+			}
+			sb, between = store.NewSyncBatch(), store.Checkpoint
+		}
+		if err := transfer(a, b, 1+next(5), sb, between); err != nil {
 			return nil, err
 		}
 		if i%2 == 0 {
@@ -282,11 +319,11 @@ func record(cfg Config) (*trace, error) {
 				return nil, err
 			}
 		}
-		if i == 6 {
-			if err := store.Checkpoint(); err != nil {
-				return nil, err
-			}
-		}
+	}
+	// A third checkpoint, with the transfer long acknowledged, deletes the
+	// rolled segments.
+	if err := store.Checkpoint(); err != nil {
+		return nil, err
 	}
 	// A few trailing writes so post-checkpoint segments grow past the
 	// snapshot and the final crash states mix both.

@@ -12,17 +12,33 @@ import (
 // TestExplore is the full crash-point sweep: record the scripted workload,
 // then recover at every filesystem-op prefix (and every sector-torn variant
 // of a trailing write) and check the durability contract. This is the
-// tentpole drill the CI wal-disk-fault-smoke job runs.
+// tentpole drill the CI wal-disk-fault-smoke job runs. It sweeps two logs:
+// small segments that rotate by size, and the default segment size, where
+// every rotation is a roll a checkpoint asked for.
 func TestExplore(t *testing.T) {
-	st, err := Explore(Config{Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.States != st.JournalOps+1 {
-		t.Fatalf("explored %d states for %d journal ops; want every prefix", st.States, st.JournalOps)
-	}
-	if st.TornStates == 0 {
-		t.Fatalf("no torn-write states explored; workload writes should span sectors")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"size-rolls", Config{}},
+		{"checkpoint-rolls", Config{SegmentBytes: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Log = t.Logf
+			st, err := Explore(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.States != st.JournalOps+1 {
+				t.Fatalf("explored %d states for %d journal ops; want every prefix", st.States, st.JournalOps)
+			}
+			if st.TornStates == 0 {
+				t.Fatalf("no torn-write states explored; workload writes should span sectors")
+			}
+			if st.SegmentRemovals == 0 {
+				t.Fatalf("no log segment was truncated; the checkpoints should reclaim the covered log")
+			}
+		})
 	}
 }
 

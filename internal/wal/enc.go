@@ -13,6 +13,10 @@ import (
 // encoding or checksum cost.
 type Enc struct {
 	buf []byte // frame header (unsealed) | lsn (unstamped) | kind | body
+	// peers is the participant table of a cross-shard commit copy appended
+	// by AppendXCommit: the appender writes the copy only once every other
+	// participant has written its log up to its own copy (see waitPeers).
+	peers []Part
 }
 
 // maxPooledEnc bounds the buffers the pool retains; an oversized record's
@@ -77,6 +81,7 @@ func (e *Enc) seal() {
 // but never appended (the commit failed first); appended Encs are owned and
 // released by the log.
 func (e *Enc) Release() {
+	e.peers = nil
 	if cap(e.buf) > maxPooledEnc {
 		return
 	}

@@ -28,8 +28,11 @@ type Options struct {
 	// records to accumulate. 0 flushes immediately, so groups form only from
 	// commits that arrive while a previous fsync is in flight.
 	FsyncInterval time.Duration
-	// SegmentBytes rotates the active segment once it exceeds this size.
-	// 0 means the 64 MiB default.
+	// SegmentBytes is the ceiling on the active segment's size: it rotates
+	// once it reaches this many bytes. 0 means the 64 MiB default. A
+	// checkpoint rolls a segment that outgrew its snapshot earlier (see
+	// requestRoll), so this limit binds only for stores that never
+	// checkpoint.
 	SegmentBytes int64
 	// AppendQueue sizes the append pipeline: appends reserve an LSN and
 	// enqueue a pre-encoded record under the log mutex, and a per-shard
@@ -125,16 +128,17 @@ type Log struct {
 	appended uint64 // last LSN handed out (0 = none yet)
 	pending  int    // records appended but not yet covered by a flush/sync
 	failed   error  // sticky first write/fsync error; the log is wedged after
+	rollReq  bool   // a checkpoint asked to roll the active segment
 
 	// Append pipeline state (queueCap > 0). The appender goroutine is the
-	// only writer of written/fsynced and the only party doing file I/O.
+	// only writer of written (below) and fsynced and the only party doing
+	// file I/O.
 	queueCap     int
 	queue        []*Enc     // records reserved but not yet written, LSN order
 	qspare       []*Enc     // double-buffer for queue swaps
 	acond        *sync.Cond // appender wakeup: work queued, sync request, close
 	pcond        *sync.Cond // sync waiters: written/fsynced/failed progressed
 	spaceCond    *sync.Cond // enqueuers blocked on a full queue
-	written      uint64     // last LSN written to the segment file
 	fsynced      uint64     // last LSN covered by a real fsync
 	unsynced     int        // records written but not yet covered by a sync
 	syncReq      uint64     // highest LSN a leader asked to make durable
@@ -142,6 +146,16 @@ type Log struct {
 	closing      bool
 	vecs         [][]byte // appender's reusable writev buffer table
 	appenderDone chan struct{}
+
+	// Cross-shard write order (pipeline mode, logs of one Manager): peers
+	// are every shard's log, indexed by shard; prog is their shared
+	// progress signal. written is the last LSN written to the segment file
+	// and wedged mirrors failed != nil; both are atomic so peers' appenders
+	// read them without the log mutex.
+	peers   []*Log
+	prog    *progress
+	written atomic.Uint64
+	wedged  atomic.Bool
 
 	// batchFull is signalled (capacity 1, non-blocking) when pending reaches
 	// FsyncBatch, so a waiting group leader can flush early.
@@ -183,13 +197,13 @@ func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) 
 		shard:     shard,
 		nextLSN:   nextLSN,
 		appended:  nextLSN - 1,
-		written:   nextLSN - 1,
 		fsynced:   nextLSN - 1,
 		queueCap:  opts.queueCap(),
 		batchFull: make(chan struct{}, 1),
 	}
 	l.gcond = sync.NewCond(&l.gmu)
 	l.synced.Store(nextLSN - 1)
+	l.written.Store(nextLSN - 1)
 	if err := l.openSegment(nextLSN); err != nil {
 		return nil, err
 	}
@@ -263,7 +277,7 @@ func (l *Log) SyncedLSN() uint64 { return l.synced.Load() }
 
 // Wedged reports whether the log has hit a write or fsync error and is
 // permanently rejecting appends and syncs.
-func (l *Log) Wedged() bool { return l.stickyErr() != nil }
+func (l *Log) Wedged() bool { return l.wedged.Load() }
 
 // Failed returns the sticky error that wedged the log, or nil.
 func (l *Log) Failed() error { return l.stickyErr() }
@@ -355,9 +369,12 @@ func (l *Log) AppendCommit(ops []Op) (uint64, error) {
 }
 
 // AppendXCommit appends a cross-shard commit record at the LSN previously
-// reserved for this shard in parts.
+// reserved for this shard in parts. parts must not change afterwards: the
+// appender reads it to order the copy after the other participants' logs.
 func (l *Log) AppendXCommit(lsn, xid uint64, parts []Part, ops []Op) error {
-	if err := l.AppendAt(lsn, EncodeXCommit(xid, parts, ops)); err != nil {
+	e := EncodeXCommit(xid, parts, ops)
+	e.peers = parts
+	if err := l.AppendAt(lsn, e); err != nil {
 		return err
 	}
 	l.chaosAppend()
@@ -551,7 +568,7 @@ func (l *Log) appendLoop() {
 		}
 
 		l.mu.Lock()
-		written := l.written
+		written := l.written.Load()
 		needFsync := force || (l.opts.FsyncBatch != 0 && req > l.synced.Load())
 		f := l.f
 		l.mu.Unlock()
@@ -600,8 +617,9 @@ func (l *Log) completeSync(written uint64, fsynced bool) {
 }
 
 // writeBatch seals and writes a drained batch to the active segment — one
-// vectored write per chunk of up to iovMax records — rotating at segment
-// boundaries. Appender only, so file I/O never races.
+// vectored write per chunk of up to iovMax records, chunks split at the size
+// limit — rotating after any chunk that makes rotateDueLocked true. Appender
+// only, so file I/O never races.
 func (l *Log) writeBatch(batch []*Enc) error {
 	for _, e := range batch {
 		e.seal()
@@ -609,11 +627,13 @@ func (l *Log) writeBatch(batch []*Enc) error {
 	segMax := l.opts.segmentBytes()
 	i := 0
 	for i < len(batch) {
+		l.waitPeers(batch[i])
 		nbytes := 0
 		n := 0
 		for i+n < len(batch) && n < iovMax {
-			sz := len(batch[i+n].buf)
-			if n > 0 && l.segSize+int64(nbytes+sz) >= segMax {
+			e := batch[i+n]
+			sz := len(e.buf)
+			if n > 0 && (l.segSize+int64(nbytes+sz) >= segMax || !l.peersWritten(e)) {
 				break
 			}
 			nbytes += sz
@@ -627,11 +647,12 @@ func (l *Log) writeBatch(batch []*Enc) error {
 		last := chunk[n-1].lsn()
 		l.mu.Lock()
 		l.segSize += int64(nbytes)
-		l.written = last
 		l.unsynced += n
-		rotate := l.segSize >= segMax
+		rotate := l.rotateDueLocked()
 		f := l.f
 		l.mu.Unlock()
+		l.written.Store(last)
+		l.prog.notify()
 		if rotate {
 			// last+1 (not nextLSN, which may be ahead of what is written) is
 			// the correct first-LSN lower bound for the remaining records.
@@ -646,6 +667,71 @@ func (l *Log) writeBatch(batch []*Enc) error {
 		batch[i] = nil
 	}
 	return nil
+}
+
+// progress is the write-progress signal the shard logs of one Manager
+// share, so an appender can wait for its peers (waitPeers).
+type progress struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	waiters atomic.Int32
+}
+
+func newProgress() *progress {
+	p := &progress{}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// notify wakes appenders waiting on peer progress. Callers store the
+// progress first; waiters register before checking it, so a wakeup is never
+// lost.
+func (p *progress) notify() {
+	if p != nil && p.waiters.Load() > 0 {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// peersWritten reports whether e may be written: unless e is a cross-shard
+// commit copy, always; otherwise once every other participant has written
+// its log up to the record before its own copy. A wedged peer never will —
+// its copy is lost either way — so it does not hold this log back.
+func (l *Log) peersWritten(e *Enc) bool {
+	for _, p := range e.peers {
+		if p.Shard == l.shard || p.Shard >= len(l.peers) {
+			continue
+		}
+		peer := l.peers[p.Shard]
+		if peer.written.Load()+1 < p.LSN && !peer.wedged.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// waitPeers blocks the appender until peersWritten(e). This is what makes a
+// rescue sound: recovery applies a cross-shard commit on a participant that
+// lost its copy from a peer's copy, and the copy's absolute values assume
+// the participant's log before it. Writing a copy only after every
+// participant's log reached it means a crash that keeps any copy keeps
+// every participant's log up to its copy — content writes persist in order
+// (DESIGN §10.8). Waits cannot cycle: the records waited for were reserved
+// before this transaction took its shard gates, so each wait points at an
+// earlier transaction.
+func (l *Log) waitPeers(e *Enc) {
+	if l.peersWritten(e) {
+		return
+	}
+	p := l.prog
+	p.mu.Lock()
+	p.waiters.Add(1)
+	for !l.peersWritten(e) {
+		p.cond.Wait()
+	}
+	p.waiters.Add(-1)
+	p.mu.Unlock()
 }
 
 // noteWritev records one vectored write of n records.
@@ -675,11 +761,11 @@ func (l *Log) flush(fsync bool) error {
 	target := l.appended
 	recs := l.pending
 	l.pending = 0
+	l.segSize += int64(len(buf))
 	rotateAt := uint64(0)
-	if l.segSize+int64(len(buf)) >= l.opts.segmentBytes() {
+	if l.rotateDueLocked() {
 		rotateAt = l.nextLSN
 	}
-	l.segSize += int64(len(buf))
 	f := l.f
 	l.mu.Unlock()
 
@@ -724,6 +810,29 @@ func (l *Log) flush(fsync bool) error {
 	return nil
 }
 
+// rotateDueLocked is the one rotation decision both append paths make after
+// writing: the active segment reached SegmentBytes, or a checkpoint asked for
+// a roll. l.mu held.
+func (l *Log) rotateDueLocked() bool {
+	return l.rollReq || l.segSize >= l.opts.segmentBytes()
+}
+
+// requestRoll is called after a checkpoint wrote a snapshot of snapBytes
+// covering a prefix of this log. Truncation deletes only sealed segments, so
+// a covered prefix in the active segment would stay on disk until the size
+// limit; when the segment holds more bytes than the snapshot that replaced
+// its prefix, ask for it to roll at the next write. The next checkpoint can
+// then delete it, so each shard keeps one snapshot plus roughly the records
+// appended since the previous checkpoint. One request yields at most one
+// roll.
+func (l *Log) requestRoll(snapBytes int64) {
+	l.mu.Lock()
+	if l.segSize > snapBytes {
+		l.rollReq = true
+	}
+	l.mu.Unlock()
+}
+
 // rotate fsyncs and closes the full segment, then opens a fresh one whose
 // records will all have LSN >= next. The old-segment fsync before the new
 // segment exists is what keeps durability prefix-shaped across files.
@@ -739,6 +848,7 @@ func (l *Log) rotate(next uint64, old walfs.File) error {
 	if err := l.openSegment(next); err != nil {
 		return err
 	}
+	l.rollReq = false
 	l.rotations.Add(1)
 	return nil
 }
@@ -747,6 +857,8 @@ func (l *Log) fail(err error) error {
 	l.mu.Lock()
 	if l.failed == nil {
 		l.failed = fmt.Errorf("wal: shard %d log failed: %w", l.shard, err)
+		l.wedged.Store(true)
+		l.prog.notify()
 	}
 	err = l.failed
 	if l.pipelined() {
@@ -829,6 +941,23 @@ func (l *Log) Truncate(covered uint64) error {
 		l.truncatedSeg.Add(1)
 	}
 	return nil
+}
+
+// logBytes returns the bytes in the shard's live segments: the sealed ones no
+// checkpoint has truncated yet plus the active one.
+func (l *Log) logBytes() int64 {
+	names, err := segNames(l.fs, l.dir)
+	if err != nil {
+		return 0
+	}
+	var n int64
+	for _, first := range names {
+		// A segment truncated since the listing is simply gone.
+		if sz, err := l.fs.Size(filepath.Join(l.dir, segName(first))); err == nil {
+			n += sz
+		}
+	}
+	return n
 }
 
 // segNames lists the segment first-LSNs in dir, ascending.

@@ -136,6 +136,12 @@ func (m *Manager) Start(nextLSN []uint64, maxXID uint64) error {
 		}
 		m.logs[i] = l
 	}
+	prog := newProgress()
+	for _, l := range m.logs {
+		l.mu.Lock()
+		l.peers, l.prog = m.logs, prog
+		l.mu.Unlock()
+	}
 	m.xid.Store(maxXID)
 	if m.opts.ScrubInterval > 0 {
 		m.StartScrubber(m.opts.ScrubInterval)
@@ -176,11 +182,7 @@ func (m *Manager) Checkpoint(shard int, covered, truncTo uint64, pairs func(emit
 		m.snapshotSkips.Add(1)
 		return err
 	}
-	m.noteSnapshot(st, false, start)
-	if truncTo > covered {
-		truncTo = covered
-	}
-	return m.logs[shard].Truncate(truncTo)
+	return m.finishCheckpoint(shard, st, false, start, covered, truncTo)
 }
 
 // CheckpointIncremental is Checkpoint's incremental variant: the previous
@@ -198,11 +200,18 @@ func (m *Manager) CheckpointIncremental(shard int, covered, truncTo uint64, skip
 		}
 		return err
 	}
-	m.noteSnapshot(st, true, start)
-	if truncTo > covered {
-		truncTo = covered
-	}
-	return m.logs[shard].Truncate(truncTo)
+	return m.finishCheckpoint(shard, st, true, start, covered, truncTo)
+}
+
+// finishCheckpoint runs after a snapshot is durable, the same way for full
+// and incremental checkpoints: it records the snapshot, asks the shard's log
+// to roll a segment that now holds more than the snapshot (Log.requestRoll),
+// and deletes the sealed segments the snapshot covers, up to truncTo.
+func (m *Manager) finishCheckpoint(shard int, st snapStats, incremental bool, start time.Time, covered, truncTo uint64) error {
+	m.noteSnapshot(st, incremental, start)
+	l := m.logs[shard]
+	l.requestRoll(st.bytes)
+	return l.Truncate(min(truncTo, covered))
 }
 
 // recoverSnapshotPanic converts an injected chaos panic into
@@ -276,7 +285,7 @@ func (m *Manager) Close() error {
 // durable LSN gauges.
 func (m *Manager) ObsMetrics() []obs.Metric {
 	var appends, bytes, fsyncs, flushed, rotations, truncated, maxGroup uint64
-	var queueDepth, writevCalls, writevRecs, writevMax uint64
+	var queueDepth, writevCalls, writevRecs, writevMax, logBytes uint64
 	for _, l := range m.logs {
 		if l == nil {
 			continue
@@ -291,6 +300,7 @@ func (m *Manager) ObsMetrics() []obs.Metric {
 			maxGroup = g
 		}
 		queueDepth += uint64(l.QueueDepth())
+		logBytes += uint64(l.logBytes())
 		writevCalls += l.writevCalls.Load()
 		writevRecs += l.writevRecs.Load()
 		if w := l.writevMaxRecs.Load(); w > writevMax {
@@ -305,6 +315,7 @@ func (m *Manager) ObsMetrics() []obs.Metric {
 		{Name: "stmkvd_wal_group_max", Help: "Largest group-commit flush observed, in records.", Kind: obs.Gauge, Value: maxGroup},
 		{Name: "stmkvd_wal_rotations_total", Help: "Log segment rotations.", Kind: obs.Counter, Value: rotations},
 		{Name: "stmkvd_wal_truncated_segments_total", Help: "Log segments deleted after a covering checkpoint.", Kind: obs.Counter, Value: truncated},
+		{Name: "stmkvd_wal_log_bytes", Help: "Bytes in live log segments (sealed segments not yet truncated plus the active one), summed across shards.", Kind: obs.Gauge, Value: logBytes},
 		{Name: "stmkvd_wal_replay_records_total", Help: "Log records replayed at boot.", Kind: obs.Counter, Value: m.replayRecords.Load()},
 		{Name: "stmkvd_wal_replay_rescued_total", Help: "Cross-shard records recovered from a peer shard's log at boot.", Kind: obs.Counter, Value: m.replayRescued.Load()},
 		{Name: "stmkvd_wal_replay_snapshot_pairs_total", Help: "Key/value pairs loaded from snapshots at boot.", Kind: obs.Counter, Value: m.replayPairs.Load()},
