@@ -33,7 +33,7 @@ func (t *Txn) valid() bool {
 				return false
 			}
 		case m.ownerID == t.id:
-			if m.entry.oldMeta.version != re.seen {
+			if m.version != re.seen {
 				return false
 			}
 		default:
@@ -44,12 +44,14 @@ func (t *Txn) valid() bool {
 }
 
 // Commit implements engine.Txn. It validates the read log and, if valid,
-// releases every owned object by publishing its pre-built {version+1}
-// record; the in-place updates thereby become permanent. On conflict the
-// transaction is rolled back and ErrConflict returned.
+// releases every owned object by publishing its {version+1} record; the
+// in-place updates thereby become permanent. On conflict the transaction is
+// rolled back and ErrConflict returned.
 //
-// The release loop performs only pointer stores (the records were built at
-// open time), matching the paper's constant-time commit per updated object.
+// The release loop performs only pointer stores for objects below
+// internedVersions (the records are shared, see versionRec), matching the
+// paper's constant-time commit per updated object; an older object costs one
+// 24-byte record.
 func (t *Txn) Commit() error {
 	if t.done {
 		panic("core: Commit on finished transaction")
@@ -83,7 +85,7 @@ func (t *Txn) Commit() error {
 		in.Step(chaos.WriteBack)
 	}
 	for _, e := range t.updateLog {
-		e.obj.meta.Store(&e.newMeta)
+		e.release(true)
 	}
 	if len(t.updateLog) > 0 {
 		// Invalidate concurrent read-only fast-path snapshots: the objects
@@ -124,11 +126,7 @@ func (t *Txn) rollback() {
 		}
 	}
 	for _, e := range t.updateLog {
-		if e.dirty {
-			e.obj.meta.Store(&e.newMeta)
-		} else {
-			e.obj.meta.Store(&e.oldMeta)
-		}
+		e.release(e.dirty)
 	}
 	t.finish(false)
 }
@@ -190,6 +188,8 @@ func (t *Txn) finish(committed bool) {
 	if cap(t.undoLog) > keepCap {
 		t.undoLog = nil
 	}
+	// Stale entries past len would keep their slab chunks reachable.
+	clear(t.updateLog[:cap(t.updateLog)])
 	if cap(t.updateLog) > keepCap {
 		t.updateLog = nil
 	}
@@ -207,7 +207,8 @@ func (t *Txn) finish(committed bool) {
 }
 
 // keepFilterSlots bounds the duplicate-log filter capacity a pooled
-// transaction may retain: the default filter size (4096 slots, ~100 KiB).
+// transaction may retain: the default capacity (4096 slots, ~100 KiB once
+// the table has grown to it).
 const keepFilterSlots = 1 << 12
 
 // ReadLogLen reports the current read-log length; exported for the log

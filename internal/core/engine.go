@@ -110,10 +110,12 @@ func WithContentionManager(cm ContentionManager) Option {
 // WithFilterSize sets the per-transaction duplicate-log filter capacity in
 // slots (rounded up to a power of two). Zero disables the filter. The
 // default of 4096 covers the hot-field working sets of the E1/E2 kernels; E5
-// sweeps the size. The table (~100 KiB at the default size) is allocated
-// lazily on a transaction's first duplicate check, so transactions that
-// never log pay nothing, and tables larger than keepFilterSlots are released
-// when the transaction finishes rather than pinned by the pool.
+// sweeps the size. The table is allocated lazily on a transaction's first
+// duplicate check, starts at 64 slots (1.5 KiB), and grows on demand up to
+// the capacity (~100 KiB at the default size), so transactions that never
+// log pay nothing and small ones pay little; filters whose capacity exceeds
+// keepFilterSlots are released when the transaction finishes rather than
+// pinned by the pool.
 func WithFilterSize(n int) Option {
 	return func(e *Engine) { e.filterSize = n }
 }
@@ -158,12 +160,37 @@ func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
 	return newObj(id, 0, nwords, nrefs)
 }
 
-// versionOne is the initial STM word shared by every freshly allocated
-// object. Version records are immutable once published and are compared by
-// value everywhere except the OpenForUpdate CAS (which retries on pointer
-// mismatch), so sharing one record is safe and saves an allocation per
-// object.
-var versionOne = &ownership{version: 1}
+// internedVersions bounds the table of shared version records: versions
+// below it are published as &versionRecs[v] (a 96 KiB table), so committing
+// or releasing a young object allocates nothing. A version at or past the
+// bound gets a fresh 24-byte record per release, so an object's metadata
+// stays one small record at any age.
+const internedVersions = 4096
+
+var versionRecs [internedVersions]ownership
+
+func init() {
+	for v := range versionRecs {
+		versionRecs[v].version = uint64(v)
+	}
+}
+
+// versionRec returns an immutable version record for v.
+//
+// Sharing is safe because version records are compared by value everywhere
+// except the OpenForUpdate CAS, which only needs pointer equality to imply
+// "nothing changed since the load". Versions only grow, except across a
+// clean rollback, which republishes the displaced record itself (pointer and
+// all). So a CAS can succeed across an acquire-and-clean-rollback by another
+// transaction — and that is safe, because a clean rollback wrote nothing:
+// the object's fields and version are exactly those the CAS's load saw.
+// Every other release publishes version+1, which no earlier load can match.
+func versionRec(v uint64) *ownership {
+	if v < internedVersions {
+		return &versionRecs[v]
+	}
+	return &ownership{version: v}
+}
 
 func newObj(id, creator uint64, nwords, nrefs int) *Obj {
 	o := &Obj{
@@ -172,7 +199,7 @@ func newObj(id, creator uint64, nwords, nrefs int) *Obj {
 		words:   make([]atomic.Uint64, nwords),
 		refs:    make([]atomic.Pointer[Obj], nrefs),
 	}
-	o.meta.Store(versionOne)
+	o.meta.Store(versionRec(1))
 	return o
 }
 

@@ -51,8 +51,9 @@ func (o *Obj) NumRefs() int { return len(o.refs) }
 // ownership is the STM word's target. Exactly one of the two shapes is used:
 //
 //   - version record: ownerID == 0, version holds the object's version;
-//   - ownership record: ownerID != 0 identifies the owning transaction and
-//     entry points at its update-log entry for the object.
+//   - ownership record: ownerID != 0 identifies the owning transaction,
+//     entry points at its update-log entry for the object, and version holds
+//     the displaced (last committed) version.
 //
 // Records are immutable once published, so a reader that loaded the pointer
 // can examine the fields without further synchronization.
@@ -63,26 +64,36 @@ type ownership struct {
 }
 
 // updateEntry is an update-log record: everything needed to release or roll
-// back one owned object. All three STM-word records an entry can publish are
-// embedded by value — ownMeta (published at open), newMeta (published on
-// commit or dirty rollback), and oldMeta (published on clean rollback) — so
-// OpenForUpdate, Commit, and rollback perform no per-record allocation.
+// back one owned object. The ownership record published at open time
+// (ownMeta) is embedded by value, so OpenForUpdate performs no per-record
+// allocation; the records published on release are shared version records
+// (see versionRec), never part of the entry.
 //
 // Lifetime rule: entries are served from a per-transaction slab (chunks of
-// slabChunk entries, one make per chunk). Because the published &e.newMeta /
-// &e.oldMeta records escape into object headers and stay reachable for as
-// long as the object lives, a chunk can never be recycled once any of its
-// entries has been published; only the untouched tail of the current chunk
-// carries over to the next attempt. oldMeta holds a *copy* of the displaced
-// version record rather than a pointer to it, so an entry never references a
-// previous owner's entry (or slab chunk) — otherwise each object would pin
-// the slab chunks of its entire update history.
+// slabChunk entries, one make per chunk). An object's STM word points into
+// the slab only while the object is owned; commit and rollback replace that
+// pointer with a version record that lives outside every slab, so a
+// committed object pins neither the chunk nor the other objects its entries
+// name. Used entries are still never recycled, because a concurrent reader
+// may hold a loaded &e.ownMeta and read its fields after the owner has
+// finished; only the untouched tail of the current chunk carries over to the
+// next attempt, and a chunk becomes garbage once the transaction moves on.
 type updateEntry struct {
 	obj     *Obj
-	oldMeta ownership // copy of the displaced version record (published on clean abort)
-	newMeta ownership // pre-built {version+1} record published on commit
-	ownMeta ownership // the ownership record published at open time
-	dirty   bool      // true once any field of obj has been undo-logged
+	old     *ownership // displaced version record, republished by a clean rollback
+	ownMeta ownership  // the ownership record published at open time
+	dirty   bool       // true once any field of obj has been undo-logged
+}
+
+// release publishes obj's version record when the transaction gives up
+// ownership: version+1 after a commit or a write (bump), otherwise the
+// displaced record itself.
+func (e *updateEntry) release(bump bool) {
+	if bump {
+		e.obj.meta.Store(versionRec(e.ownMeta.version + 1))
+	} else {
+		e.obj.meta.Store(e.old)
+	}
 }
 
 // readEntry is a read-log record: the object and the version current when it

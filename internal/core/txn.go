@@ -48,7 +48,7 @@ type Txn struct {
 
 	// slab serves update-log entries in chunks of slabChunk; slabUsed is the
 	// index of the next free entry. Used entries are never recycled — their
-	// embedded records escape into object headers (see updateEntry) — but
+	// ownership records escape to concurrent readers (see updateEntry) — but
 	// the untouched tail carries over across attempts, so OpenForUpdate
 	// costs one allocation per slabChunk entries, amortized.
 	slab     []updateEntry
@@ -204,15 +204,15 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 	if in := chaos.Active(); in != nil {
 		in.Step(chaos.OpenForRead)
 	}
-	seen := m.version
+	// An ownership record carries the displaced version, so m.version is
+	// what the read validates against whether or not the object is owned.
 	if m.ownerID != 0 {
-		seen = m.entry.oldMeta.version
 		// The owner may have dirtied the object (and bumped valSeq) before
 		// this transaction's roSeq snapshot, so an unchanged valSeq at commit
 		// would not prove this read consistent. Force full validation.
 		t.roSawOwner = true
 	}
-	t.readLog = append(t.readLog, readEntry{obj: o, seen: seen})
+	t.readLog = append(t.readLog, readEntry{obj: o, seen: m.version})
 	t.nReadLog++
 	if th := t.eng.compactThreshold; th > 0 && len(t.readLog) > th {
 		t.Compact()
@@ -275,11 +275,8 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		default:
 			e := t.newEntry()
 			e.obj = o
+			e.old = m
 			e.dirty = false
-			// oldMeta copies the displaced version record by value so the
-			// entry never references the previous owner's slab chunk.
-			e.oldMeta = ownership{version: m.version}
-			e.newMeta = ownership{version: m.version + 1}
 			e.ownMeta = ownership{version: m.version, ownerID: t.id, entry: e}
 			if o.meta.CompareAndSwap(m, &e.ownMeta) {
 				t.updateLog = append(t.updateLog, e)

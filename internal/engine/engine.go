@@ -66,6 +66,15 @@ type Engine interface {
 // Operations that discover a conflict mid-transaction panic with a *Retry
 // value (see Retrying); Commit and Validate report conflicts as ErrConflict.
 // The Run helper handles both, re-executing the transaction body.
+//
+// Immutable objects may be loaded without an open. An object whose fields
+// were all written while it was transaction-local, and are never stored to
+// after the commit that published it, has nothing to validate: a load that
+// reached it through an opened (hence validated) reference sees exactly the
+// published fields. Every engine honors this — the direct engine's loads are
+// plain atomic loads, wstm validates every load on its own, and ostm loads
+// the committed fields, which never change. The direct engine's checked mode
+// (core.WithChecked) still requires an open before every load.
 type Txn interface {
 	// OpenForRead declares that the transaction will read fields of h.
 	// It records the object's version in the read log for commit-time
@@ -90,15 +99,17 @@ type Txn interface {
 	LogForUndoRef(h Handle, i int)
 
 	// LoadWord returns scalar field i of h. The object must be open for
-	// read or update. In the direct-update engine this is a plain atomic
-	// load — the "fast path" the paper's decomposition exists to enable.
+	// read or update, or immutable (see above). In the direct-update engine
+	// this is a plain atomic load — the "fast path" the paper's
+	// decomposition exists to enable.
 	LoadWord(h Handle, i int) uint64
 
 	// StoreWord sets scalar field i of h. The object must be open for
 	// update, and in the direct engine the field must have been undo-logged.
 	StoreWord(h Handle, i int, v uint64)
 
-	// LoadRef returns reference field i of h (nil Handle if unset).
+	// LoadRef returns reference field i of h (nil Handle if unset). The
+	// object must be open or immutable, as for LoadWord.
 	LoadRef(h Handle, i int) Handle
 
 	// StoreRef sets reference field i of h; r may be nil.

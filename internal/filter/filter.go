@@ -11,15 +11,25 @@
 //
 // Resetting between transactions is O(1): the epoch is bumped, invalidating
 // every slot at once.
+//
+// The table starts at initialSlots and doubles whenever the keys recorded in
+// the current epoch pass a quarter of it, up to the configured capacity, so a
+// transaction that logs a handful of keys never pays for the full table.
+// Evictions count as recorded keys: a working set that thrashes a small
+// table grows it. Growing rehashes the current epoch's keys into the larger
+// table; doubling maps distinct slots to distinct slots, so no recorded key
+// is lost.
 package filter
 
-// Filter is a fixed-capacity duplicate-log filter. The zero value is a
+// Filter is a bounded-capacity duplicate-log filter. The zero value is a
 // disabled filter (every Seen call reports false). It is not safe for
 // concurrent use; each transaction context owns one.
 type Filter struct {
 	slots []slot
 	mask  uint64
 	epoch uint64
+	size  int // configured capacity in slots; the table grows up to it
+	n     int // keys recorded this epoch, evictions included
 }
 
 type slot struct {
@@ -28,7 +38,10 @@ type slot struct {
 	epoch uint64 // epoch at which this key was recorded
 }
 
-// New returns a filter with the given number of slots, rounded up to a power
+// initialSlots is the table a new filter starts with (1.5 KiB).
+const initialSlots = 64
+
+// New returns a filter whose capacity is size slots, rounded up to a power
 // of two. size <= 0 returns a disabled filter.
 func New(size int) *Filter {
 	f := &Filter{}
@@ -39,41 +52,63 @@ func New(size int) *Filter {
 	for n < size {
 		n <<= 1
 	}
-	f.slots = make([]slot, n)
-	f.mask = uint64(n - 1)
+	f.size = n
 	f.epoch = 1
+	f.slots = make([]slot, min(n, initialSlots))
+	f.mask = uint64(len(f.slots) - 1)
 	return f
 }
 
 // Enabled reports whether the filter has capacity.
-func (f *Filter) Enabled() bool { return len(f.slots) != 0 }
+func (f *Filter) Enabled() bool { return f.size != 0 }
 
-// Size returns the number of slots.
-func (f *Filter) Size() int { return len(f.slots) }
+// Size returns the configured capacity in slots; the table in use may be
+// smaller until the filter has grown.
+func (f *Filter) Size() int { return f.size }
 
 // Reset prepares the filter for a new transaction. All previously recorded
-// keys become stale in O(1).
-func (f *Filter) Reset() { f.epoch++ }
+// keys become stale in O(1); the table keeps its grown size.
+func (f *Filter) Reset() {
+	f.epoch++
+	f.n = 0
+}
 
 // Seen records the key (obj, field) and reports whether it was already
 // recorded during the current transaction. A false result may be returned
 // for a key that was recorded but then evicted by a colliding key; callers
 // must treat false as "log it (again)".
 func (f *Filter) Seen(obj, field uint64) bool {
-	if len(f.slots) == 0 {
+	if f.size == 0 {
 		return false
 	}
-	s := &f.slots[f.hash(obj, field)&f.mask]
+	s := &f.slots[hash(obj, field)&f.mask]
 	if s.epoch == f.epoch && s.obj == obj && s.field == field {
 		return true
 	}
 	s.obj, s.field, s.epoch = obj, field, f.epoch
+	if f.n++; f.n > len(f.slots)/4 && len(f.slots) < f.size {
+		f.grow()
+	}
 	return false
+}
+
+// grow doubles the table and rehashes the current epoch's keys into it.
+func (f *Filter) grow() {
+	old := f.slots
+	f.slots = make([]slot, 2*len(old))
+	f.mask = uint64(len(f.slots) - 1)
+	f.n = 0
+	for _, s := range old {
+		if s.epoch == f.epoch {
+			f.slots[hash(s.obj, s.field)&f.mask] = s
+			f.n++
+		}
+	}
 }
 
 // hash mixes the object id and field slot. Fibonacci hashing on the combined
 // key gives good dispersion for the sequential ids the engines hand out.
-func (f *Filter) hash(obj, field uint64) uint64 {
+func hash(obj, field uint64) uint64 {
 	x := obj*0x9E3779B97F4A7C15 ^ (field+1)*0xBF58476D1CE4E5B9
 	x ^= x >> 29
 	return x

@@ -1,6 +1,8 @@
 package filter
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +103,128 @@ func TestHitImpliesRecorded(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGrowsOnDemand pins the growth policy: the table starts at
+// initialSlots, doubles once recorded keys pass a quarter of it, stops at the
+// configured capacity, and keeps its size across Reset. Size always reports
+// the capacity.
+func TestGrowsOnDemand(t *testing.T) {
+	f := New(4096)
+	if len(f.slots) != initialSlots || f.Size() != 4096 {
+		t.Fatalf("New(4096): %d slots, Size %d; want %d slots, Size 4096", len(f.slots), f.Size(), initialSlots)
+	}
+	for i := uint64(0); i < initialSlots/4; i++ {
+		f.Seen(i, 0)
+	}
+	if len(f.slots) != initialSlots {
+		t.Fatalf("grew to %d slots at a quarter load, want %d", len(f.slots), initialSlots)
+	}
+	f.Seen(1000, 0)
+	if len(f.slots) != 2*initialSlots {
+		t.Fatalf("%d slots after passing a quarter load, want %d", len(f.slots), 2*initialSlots)
+	}
+	for i := uint64(0); i < 10000; i++ {
+		f.Seen(i, 1)
+	}
+	if len(f.slots) != 4096 {
+		t.Fatalf("%d slots after 10000 keys, want the 4096 capacity", len(f.slots))
+	}
+	f.Reset()
+	if len(f.slots) != 4096 || f.Size() != 4096 {
+		t.Fatalf("Reset changed the table: %d slots, Size %d", len(f.slots), f.Size())
+	}
+	if g := New(16); len(g.slots) != 16 {
+		t.Fatalf("New(16) allocated %d slots, want 16", len(g.slots))
+	}
+}
+
+// TestNoFalsePositivesAcrossGrowth is TestNoFalsePositives for a filter that
+// grows from initialSlots to 1024 slots while the keys are recorded.
+func TestNoFalsePositivesAcrossGrowth(t *testing.T) {
+	check := func(keys []uint16, probes []uint16) bool {
+		f := New(1024)
+		recorded := make(map[uint64]bool)
+		for round := 0; round < 4; round++ { // repeat so growth happens mid-sequence
+			for _, k := range keys {
+				key := uint64(k) + uint64(round)<<16
+				f.Seen(key>>4, key&15)
+				recorded[key] = true
+			}
+		}
+		for _, p := range probes {
+			key := uint64(p) | 1<<20 // outside every key recorded above
+			if f.Seen(key>>4, key&15) && !recorded[key] {
+				return false
+			}
+			recorded[key] = true
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGrowthKeepsLiveKeys checks that growing never drops a key: every key
+// held in the table just before a growth is still held (and still hits)
+// after it, and keys from earlier epochs are not carried over.
+func TestGrowthKeepsLiveKeys(t *testing.T) {
+	held := func(f *Filter) map[[2]uint64]bool {
+		out := make(map[[2]uint64]bool)
+		for _, s := range f.slots {
+			if s.epoch == f.epoch {
+				out[[2]uint64{s.obj, s.field}] = true
+			}
+		}
+		return out
+	}
+	check := func(keys []uint32, resetAt uint8) bool {
+		f := New(4096)
+		for i, k := range keys {
+			if i == int(resetAt) {
+				f.Reset()
+			}
+			obj, field := uint64(k>>8), uint64(k&0xFF)
+			size := len(f.slots)
+			if f.n+1 <= size/4 || size == f.size {
+				f.Seen(obj, field) // cannot grow the table
+				continue
+			}
+			// want is what the table holds once this key is recorded: the
+			// key replaces whatever held its slot.
+			want := held(f)
+			if s := f.slots[hash(obj, field)&f.mask]; s.epoch == f.epoch {
+				delete(want, [2]uint64{s.obj, s.field})
+			}
+			want[[2]uint64{obj, field}] = true
+			f.Seen(obj, field)
+			if len(f.slots) == size {
+				continue
+			}
+			got := held(f)
+			if len(got) != len(want) {
+				return false
+			}
+			for key := range want {
+				if !got[key] || !f.Seen(key[0], key[1]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Values: func(v []reflect.Value, r *rand.Rand) {
+		keys := make([]uint32, r.Intn(2000))
+		for i := range keys {
+			keys[i] = r.Uint32()
+		}
+		v[0] = reflect.ValueOf(keys)
+		v[1] = reflect.ValueOf(uint8(r.Intn(256)))
+	}}
+	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

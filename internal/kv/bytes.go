@@ -22,34 +22,43 @@ func hashKey(k []byte) uint64 {
 	return h
 }
 
-// Packed byte records: word 0 holds the byte length, words 1.. hold the
-// payload in little-endian 8-byte chunks. They are written only while
-// transaction-local and never mutated after publication.
+// Packed bytes: one word holds the byte length, the words after it hold the
+// payload in little-endian 8-byte chunks. A value record is packed bytes at
+// word 0 of its own object; a node carries its key packed at word nodeKey.
+// Both are written only while transaction-local and never mutated after
+// publication, so readers load them without opening them (see engine.Txn).
 
-// allocBytes packs b into a fresh transaction-local record. All stores are
-// barrier-free (the record is private until commit).
-func allocBytes(raw engine.Txn, b []byte) engine.Handle {
-	r := raw.Alloc(1+(len(b)+7)/8, 0)
-	raw.LogForUndoWord(r, 0)
-	raw.StoreWord(r, 0, uint64(len(b)))
+// packedWords is the number of words b occupies when packed.
+func packedWords(b []byte) int { return 1 + (len(b)+7)/8 }
+
+// packBytes packs b into words at, at+1, … of the transaction-local object
+// r. All stores are barrier-free (the object is private until commit).
+func packBytes(raw engine.Txn, r engine.Handle, at int, b []byte) {
+	raw.LogForUndoWord(r, at)
+	raw.StoreWord(r, at, uint64(len(b)))
 	for i := 0; i < len(b); i += 8 {
 		var w uint64
 		for j := 0; j < 8 && i+j < len(b); j++ {
 			w |= uint64(b[i+j]) << (8 * uint(j))
 		}
-		raw.LogForUndoWord(r, 1+i/8)
-		raw.StoreWord(r, 1+i/8, w)
+		raw.LogForUndoWord(r, at+1+i/8)
+		raw.StoreWord(r, at+1+i/8, w)
 	}
+}
+
+// allocBytes packs b into a fresh transaction-local value record.
+func allocBytes(raw engine.Txn, b []byte) engine.Handle {
+	r := raw.Alloc(packedWords(b), 0)
+	packBytes(raw, r, 0, b)
 	return r
 }
 
-// readBytes unpacks a byte record into a fresh slice.
-func readBytes(raw engine.Txn, r engine.Handle) []byte {
-	raw.OpenForRead(r)
-	n := int(raw.LoadWord(r, 0))
+// readBytes unpacks the bytes packed at word at of r into a fresh slice.
+func readBytes(raw engine.Txn, r engine.Handle, at int) []byte {
+	n := int(raw.LoadWord(r, at))
 	out := make([]byte, n)
 	for i := 0; i < n; i += 8 {
-		w := raw.LoadWord(r, 1+i/8)
+		w := raw.LoadWord(r, at+1+i/8)
 		for j := 0; j < 8 && i+j < n; j++ {
 			out[i+j] = byte(w >> (8 * uint(j)))
 		}
@@ -57,12 +66,11 @@ func readBytes(raw engine.Txn, r engine.Handle) []byte {
 	return out
 }
 
-// appendRecBlob appends a byte record to dst in the wire blob form
+// appendRecBlob appends a value record to dst in the wire blob form
 // "$<len>:<bytes>" without any intermediate buffer: the length is read from
 // word 0 first, so the prefix can be emitted before the payload words are
 // decoded straight into dst.
 func appendRecBlob(raw engine.Txn, dst []byte, r engine.Handle) []byte {
-	raw.OpenForRead(r)
 	n := int(raw.LoadWord(r, 0))
 	dst = append(dst, '$')
 	dst = strconv.AppendUint(dst, uint64(n), 10)
@@ -76,10 +84,10 @@ func appendRecBlob(raw engine.Txn, dst []byte, r engine.Handle) []byte {
 	return dst
 }
 
-// recEqual compares a byte record against b without unpacking into a slice.
-func recEqual(raw engine.Txn, r engine.Handle, b []byte) bool {
-	raw.OpenForRead(r)
-	if int(raw.LoadWord(r, 0)) != len(b) {
+// packedEqual compares the bytes packed at word at of r against b without
+// unpacking into a slice.
+func packedEqual(raw engine.Txn, r engine.Handle, at int, b []byte) bool {
+	if int(raw.LoadWord(r, at)) != len(b) {
 		return false
 	}
 	for i := 0; i < len(b); i += 8 {
@@ -87,7 +95,7 @@ func recEqual(raw engine.Txn, r engine.Handle, b []byte) bool {
 		for j := 0; j < 8 && i+j < len(b); j++ {
 			w |= uint64(b[i+j]) << (8 * uint(j))
 		}
-		if raw.LoadWord(r, 1+i/8) != w {
+		if raw.LoadWord(r, at+1+i/8) != w {
 			return false
 		}
 	}

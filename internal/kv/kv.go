@@ -48,12 +48,15 @@
 //
 //	directory (immutable refs) → bucket header (1 ref) → node → node → …
 //
-// A node is [hash | next, key, value] where key and value point at packed
-// byte records that are written only while transaction-local and never
-// mutated after publication. Updates therefore allocate a fresh value
-// record (barrier-free, the paper's newly-allocated-object optimization)
-// and swap one reference, and readers of a published byte record can never
-// observe a torn length/payload pair, in any engine.
+// A node is words [hash, key length, key payload…] and refs [next, value]:
+// the key is packed into the node itself, and value points at a packed byte
+// record. Key words and value records are written only while
+// transaction-local and never mutated after publication. Updates therefore
+// allocate a fresh value record (barrier-free, the paper's newly-allocated-
+// object optimization) and swap one reference, and readers of published
+// bytes can never observe a torn length/payload pair, in any engine. The
+// directory and the value records are immutable once published, so they are
+// loaded without being opened (the contract is on engine.Txn).
 package kv
 
 import (
@@ -74,9 +77,9 @@ import (
 // node field layout.
 const (
 	nodeHash = 0 // word: full 64-bit key hash (fast reject on chain walks)
+	nodeKey  = 1 // words: the key, packed (length, then payload; see bytes.go)
 	nodeNext = 0 // ref: next node in chain
-	nodeKey  = 1 // ref: packed key bytes
-	nodeVal  = 2 // ref: packed value bytes
+	nodeVal  = 1 // ref: packed value bytes
 )
 
 // Op identifies one primitive store operation in the per-type counters.
@@ -208,18 +211,19 @@ func New(cfg Config) *Store {
 		sh := &s.shards[i]
 		sh.tm = memtx.New(memtx.WithDesign(cfg.Design), memtx.WithCMPolicy(cfg.CM))
 		sh.eng = sh.tm.Engine()
-		dir := sh.tm.NewRecord(0, buckets)
+		// The directory is built transaction-locally, so its stores need no
+		// undo log (a pooled transaction would otherwise keep that log).
 		err := sh.tm.Atomic(func(tx *memtx.Tx) error {
-			dir.OpenForUpdate(tx)
+			dir := tx.Alloc(0, buckets)
 			for b := 0; b < buckets; b++ {
 				dir.SetRef(tx, b, tx.Alloc(0, 1))
 			}
+			sh.dir = dir.Handle()
 			return nil
 		})
 		if err != nil {
 			panic(fmt.Sprintf("kv: shard %d init: %v", i, err))
 		}
-		sh.dir = dir.Handle()
 	}
 	return s
 }
@@ -1063,12 +1067,11 @@ func (t *Tx) lookup(h uint64, key []byte) (raw engine.Txn, bucket, node, prev en
 	sid := int(h & t.s.mask)
 	raw = t.txnFor(sid)
 	dir := t.s.shards[sid].dir
-	raw.OpenForRead(dir)
 	bucket = raw.LoadRef(dir, int((h>>16)&uint64(t.s.buckets-1)))
 	raw.OpenForRead(bucket)
 	for n := raw.LoadRef(bucket, 0); n != nil; {
 		raw.OpenForRead(n)
-		if raw.LoadWord(n, nodeHash) == h && recEqual(raw, raw.LoadRef(n, nodeKey), key) {
+		if raw.LoadWord(n, nodeHash) == h && packedEqual(raw, n, nodeKey, key) {
 			return raw, bucket, n, prev
 		}
 		prev, n = n, raw.LoadRef(n, nodeNext)
@@ -1084,7 +1087,7 @@ func (t *Tx) Get(key []byte) ([]byte, bool) {
 	if n == nil {
 		return nil, false
 	}
-	return readBytes(raw, raw.LoadRef(n, nodeVal)), true
+	return readBytes(raw, raw.LoadRef(n, nodeVal), 0), true
 }
 
 // AppendGetBlob appends the value stored under key to dst in the wire
@@ -1116,11 +1119,10 @@ func (t *Tx) Set(key, val []byte) {
 	}
 	// Fresh node: transaction-local, so only the bucket header needs
 	// barriers (the undo-log calls on n short-circuit).
-	n = raw.Alloc(1, 3)
+	n = raw.Alloc(nodeKey+packedWords(key), 2)
 	raw.LogForUndoWord(n, nodeHash)
 	raw.StoreWord(n, nodeHash, h)
-	raw.LogForUndoRef(n, nodeKey)
-	raw.StoreRef(n, nodeKey, allocBytes(raw, key))
+	packBytes(raw, n, nodeKey, key)
 	raw.LogForUndoRef(n, nodeVal)
 	raw.StoreRef(n, nodeVal, v)
 	raw.OpenForUpdate(bucket)
@@ -1162,7 +1164,7 @@ func (t *Tx) CompareAndSet(key, old, new []byte) bool {
 	if n == nil {
 		return false
 	}
-	if !recEqual(raw, raw.LoadRef(n, nodeVal), old) {
+	if !packedEqual(raw, raw.LoadRef(n, nodeVal), 0, old) {
 		return false
 	}
 	// A successful swap logs as an absolute set of the new value.
@@ -1208,7 +1210,6 @@ func (t *Tx) Len() int {
 	for sid := range t.s.shards {
 		raw := t.txnFor(sid)
 		dir := t.s.shards[sid].dir
-		raw.OpenForRead(dir)
 		for b := 0; b < t.s.buckets; b++ {
 			hdr := raw.LoadRef(dir, b)
 			raw.OpenForRead(hdr)
@@ -1228,13 +1229,12 @@ func (t *Tx) Len() int {
 func (t *Tx) scanBuckets(sid, lo, hi int, fn func(key, val []byte)) {
 	raw := t.txnFor(sid)
 	dir := t.s.shards[sid].dir
-	raw.OpenForRead(dir)
 	for b := lo; b < hi; b++ {
 		hdr := raw.LoadRef(dir, b)
 		raw.OpenForRead(hdr)
 		for n := raw.LoadRef(hdr, 0); n != nil; {
 			raw.OpenForRead(n)
-			fn(readBytes(raw, raw.LoadRef(n, nodeKey)), readBytes(raw, raw.LoadRef(n, nodeVal)))
+			fn(readBytes(raw, n, nodeKey), readBytes(raw, raw.LoadRef(n, nodeVal), 0))
 			n = raw.LoadRef(n, nodeNext)
 		}
 	}

@@ -21,6 +21,40 @@ func designs(t *testing.T, f func(t *testing.T, s *Store)) {
 	}
 }
 
+// TestKeySizes stores keys whose lengths straddle the 8-byte packing
+// boundaries of a node's key words, each a prefix of the next, and reads
+// them back through lookups and through the checkpoint scan.
+func TestKeySizes(t *testing.T) {
+	designs(t, func(t *testing.T, s *Store) {
+		long := bytes.Repeat([]byte("k"), 255)
+		sizes := []int{0, 1, 7, 8, 9, 15, 16, 17, 64, 255}
+		for _, n := range sizes {
+			s.Set(long[:n], []byte(fmt.Sprint(n)))
+		}
+		for _, n := range sizes {
+			if got, ok := s.Get(long[:n]); !ok || string(got) != fmt.Sprint(n) {
+				t.Fatalf("Get(key of %d bytes) = %q,%v, want %d", n, got, ok, n)
+			}
+		}
+		scanned := map[string]string{}
+		_ = s.View(func(tx *Tx) error {
+			clear(scanned)
+			for sid := range s.shards {
+				tx.scanBuckets(sid, 0, s.buckets, func(k, v []byte) { scanned[string(k)] = string(v) })
+			}
+			return nil
+		})
+		if len(scanned) != len(sizes) {
+			t.Fatalf("scan found %d keys, want %d", len(scanned), len(sizes))
+		}
+		for _, n := range sizes {
+			if v := scanned[string(long[:n])]; v != fmt.Sprint(n) {
+				t.Fatalf("scan: key of %d bytes -> %q, want %d", n, v, n)
+			}
+		}
+	})
+}
+
 func TestBasicOps(t *testing.T) {
 	designs(t, func(t *testing.T, s *Store) {
 		if _, ok := s.Get([]byte("missing")); ok {

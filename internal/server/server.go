@@ -87,6 +87,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -314,6 +315,11 @@ func (s *Server) ObsMetrics() []obs.Metric {
 		{Name: "stmkvd_diskfull_total", Help: "Writes refused with DISKFULL while the store is degraded read-only.", Kind: obs.Counter, Value: s.diskFull.Load()},
 		{Name: "stmkvd_readonly_total", Help: "Writes refused with READONLY because the key's shard quarantined its log.", Kind: obs.Counter, Value: s.readOnly.Load()},
 	}
+	inuse, objects := heapStats()
+	ms = append(ms,
+		obs.Metric{Name: "stmkvd_go_heap_inuse_bytes", Help: "Bytes in in-use Go heap spans: live objects plus not yet swept garbage and span slack.", Kind: obs.Gauge, Value: inuse},
+		obs.Metric{Name: "stmkvd_go_heap_objects", Help: "Go heap objects allocated and not yet swept.", Kind: obs.Gauge, Value: objects},
+	)
 	for c := Cmd(0); c < NumCmds; c++ {
 		ms = append(ms, obs.Metric{
 			Name:   "stmkvd_commands_total",
@@ -324,6 +330,19 @@ func (s *Server) ObsMetrics() []obs.Metric {
 		})
 	}
 	return ms
+}
+
+// heapStats reads the process heap through runtime/metrics, which unlike
+// runtime.ReadMemStats does not stop the world. In-use bytes are computed as
+// MemStats.HeapInuse is: object bytes plus unused bytes of in-use spans.
+func heapStats() (inuseBytes, objects uint64) {
+	s := [...]metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/gc/heap/objects:objects"},
+	}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64() + s[1].Value.Uint64(), s[2].Value.Uint64()
 }
 
 // ListenAndServe listens on addr and serves until Shutdown.

@@ -16,6 +16,7 @@ import (
 	"memtx/internal/enginetest"
 	"memtx/internal/kv"
 	"memtx/internal/kvload"
+	"memtx/internal/obs"
 	"memtx/internal/server"
 	"memtx/internal/server/wire"
 )
@@ -473,4 +474,20 @@ func TestMetricSourceConformance(t *testing.T) {
 		}
 		wg.Wait()
 	})
+	// The heap gauges attribute memory without a profiler: both must be
+	// exported and nonzero in a live process.
+	want := map[string]bool{"stmkvd_go_heap_inuse_bytes": false, "stmkvd_go_heap_objects": false}
+	for _, m := range srv.ObsMetrics() {
+		if _, ok := want[m.Name]; ok {
+			if m.Kind != obs.Gauge || m.Value == 0 {
+				t.Fatalf("%s = %d (kind %v), want a nonzero gauge", m.Name, m.Value, m.Kind)
+			}
+			want[m.Name] = true
+		}
+	}
+	for name, ok := range want {
+		if !ok {
+			t.Fatalf("server exports no %s metric", name)
+		}
+	}
 }
