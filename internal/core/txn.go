@@ -24,8 +24,8 @@ type Txn struct {
 	began    time.Time         // attempt start, for the attempt-latency histogram
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
 
-	// ctx and deadline are bound by engine.RunCtx (CtxBinder); CM wait
-	// points observe them so an attempt parked behind a stalled owner
+	// ctx and deadline are bound by a bounded engine.Loop (CtxBinder); CM
+	// wait points observe them so an attempt parked behind a stalled owner
 	// honors its budget. Both are cleared on start — transactions begun via
 	// plain Run are unbounded.
 	ctx      context.Context

@@ -47,7 +47,7 @@ func (b *Backoff) next() uint64 {
 
 // duration advances the attempt counter and computes how long this wait
 // should sleep; zero means "yield only" (still within the spin threshold).
-// Both Wait and WaitCtx are thin wrappers around it.
+// WaitCtx (and Wait through it) is a thin wrapper around it.
 func (b *Backoff) duration() time.Duration {
 	b.attempt++
 	spin, maxShift := backoffSpinAttempts, backoffMaxShift
@@ -72,20 +72,15 @@ func (b *Backoff) duration() time.Duration {
 	return d
 }
 
-func (b *Backoff) Wait() {
-	d := b.duration()
-	if d == 0 {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(d)
-}
+// Wait backs off once with no deadline and no cancellation.
+func (b *Backoff) Wait() { b.WaitCtx(nil, time.Time{}) }
 
-// WaitCtx is Wait bounded by a context and an absolute deadline (zero means
-// none): the sleep is clamped to the deadline and interrupted by
-// cancellation, so a RunCtx caller re-checks its bounds promptly instead of
-// finishing a multi-millisecond backoff first. The timer allocation is
-// acceptable here — this is the contended slow path, never the first retry.
+// WaitCtx is Wait bounded by a context (nil means none) and an absolute
+// deadline (zero means none): the sleep is clamped to the deadline and
+// interrupted by cancellation, so a bounded Loop re-checks its bounds
+// promptly instead of finishing a multi-millisecond backoff first. The timer
+// allocation is acceptable here — this is the contended slow path, never the
+// first retry.
 func (b *Backoff) WaitCtx(ctx context.Context, deadline time.Time) {
 	d := b.duration()
 	if d == 0 {
@@ -101,7 +96,10 @@ func (b *Backoff) WaitCtx(ctx context.Context, deadline time.Time) {
 			d = remain
 		}
 	}
-	done := ctx.Done()
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	if done == nil {
 		time.Sleep(d)
 		return

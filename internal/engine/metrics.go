@@ -32,8 +32,8 @@ const (
 	// snapshot (which aborts without retrying).
 	CauseExplicit
 	// CauseDeadline: the attempt was abandoned at a contention-manager wait
-	// because the transaction's bound context was canceled or its RunCtx
-	// deadline passed while it waited on another owner.
+	// because the transaction's bound context was canceled or its retry
+	// loop's deadline passed while it waited on another owner.
 	CauseDeadline
 
 	// NumAbortCauses is the number of causes in the taxonomy.

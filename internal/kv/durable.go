@@ -80,42 +80,6 @@ type walSync struct {
 	lsn uint64
 }
 
-// walScratch pools a transaction's WAL slices (effect capture, encode
-// scratch, durability waits, participant table) so the durable hot path does
-// not allocate them per commit. Borrowed by the run loops when the store has
-// a WAL and the transaction writes; released after the durability wait is
-// either done or handed to a SyncBatch.
-type walScratch struct {
-	effs        []walEff
-	encOps      []wal.Op
-	syncs       []walSync
-	partScratch []wal.Part
-}
-
-var walScratchPool = sync.Pool{New: func() any { return new(walScratch) }}
-
-func (t *Tx) borrowWALScratch() *walScratch {
-	ws := walScratchPool.Get().(*walScratch)
-	t.effs = ws.effs[:0]
-	t.encOps = ws.encOps[:0]
-	t.syncs = ws.syncs[:0]
-	t.partScratch = ws.partScratch[:0]
-	return ws
-}
-
-// release returns the scratch to the pool. The effect and encode slices are
-// cleared first so pooled entries do not pin caller key/value buffers.
-func (ws *walScratch) release(t *Tx) {
-	clear(t.effs[:cap(t.effs)])
-	clear(t.encOps[:cap(t.encOps)])
-	ws.effs = t.effs[:0]
-	ws.encOps = t.encOps[:0]
-	ws.syncs = t.syncs[:0]
-	ws.partScratch = t.partScratch[:0]
-	t.effs, t.encOps, t.syncs, t.partScratch = nil, nil, nil, nil
-	walScratchPool.Put(ws)
-}
-
 // logEffect captures one write effect if a WAL is attached. Key and val must
 // stay valid until the attempt commits or aborts (callers pass the same
 // slices the engine write consumed).
@@ -636,7 +600,7 @@ func (s *Store) replay(m *wal.Manager, scans []*wal.ShardScan) (*RecoveryStats, 
 				}
 				b := batch
 				batch = batch[:0]
-				return s.runSingle(nil, engine.RunOptions{}, sid, false, func(t *Tx) error {
+				return s.runSingle(nil, Req{}, sid, func(t *Tx) error {
 					for _, kv := range b {
 						t.Set(kv[0], kv[1])
 					}
@@ -753,7 +717,7 @@ func (s *Store) replay(m *wal.Manager, scans []*wal.ShardScan) (*RecoveryStats, 
 					end = len(items)
 				}
 				chunk := items[start:end]
-				err := s.runSingle(nil, engine.RunOptions{}, sid, false, func(t *Tx) error {
+				err := s.runSingle(nil, Req{}, sid, func(t *Tx) error {
 					for _, it := range chunk {
 						for _, op := range it.ops {
 							if op.Del {
@@ -1011,7 +975,7 @@ func (s *Store) checkpointFull(sid int) error {
 // optimistic attempts first, then one attempt under the shard's exclusive
 // gate (which no commit can interleave with). The body must tolerate retry.
 func (s *Store) collectShard(sid int, body func(t *Tx) error) error {
-	err := s.runSingle(nil, engine.RunOptions{MaxAttempts: snapshotAttempts}, sid, true, body)
+	err := s.runSingle(nil, Req{ReadOnly: true, Opts: engine.RunOptions{MaxAttempts: snapshotAttempts}}, sid, body)
 	if err == nil {
 		return nil
 	}
@@ -1022,7 +986,7 @@ func (s *Store) collectShard(sid int, body func(t *Tx) error) error {
 	sh := &s.shards[sid]
 	sh.xmu.Lock()
 	defer sh.xmu.Unlock()
-	return s.runSingle(nil, engine.RunOptions{MaxAttempts: 2}, sid, true, body)
+	return s.runSingle(nil, Req{ReadOnly: true, Opts: engine.RunOptions{MaxAttempts: 2}}, sid, body)
 }
 
 // collectShardPairs snapshots one shard's full contents, scanning

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"memtx"
 	"memtx/internal/wal"
 	"memtx/internal/wal/walfs"
 )
@@ -350,7 +349,7 @@ func TestCheckpointRollKeepsInflightCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := s.NewSyncBatch()
-	if err := s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+	if err := s.Run(nil, Req{Keys: [][]byte{a, b}, Sync: sb}, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		return nil
@@ -452,7 +451,7 @@ func TestRescueKeepsPeerPrefix(t *testing.T) {
 	}
 	move := func(sb *SyncBatch, from, to []byte) {
 		t.Helper()
-		if err := s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{from, to}, sb, func(tx *Tx) error {
+		if err := s.Run(nil, Req{Keys: [][]byte{from, to}, Sync: sb}, func(tx *Tx) error {
 			if _, err := tx.Add(from, -1); err != nil {
 				return err
 			}
@@ -660,7 +659,7 @@ func TestDeferredSyncBatch(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		key := []byte(fmt.Sprintf("d%04d", i))
-		err := s.AtomicKeyDefer(nil, memtx.TxOptions{}, key, sb, func(tx *Tx) error {
+		err := s.Run(nil, Req{Keys: [][]byte{key}, Sync: sb}, func(tx *Tx) error {
 			tx.Set(key, []byte("v"))
 			return nil
 		})
@@ -669,7 +668,7 @@ func TestDeferredSyncBatch(t *testing.T) {
 		}
 	}
 	a, b := crossPair(t, s)
-	err = s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+	err = s.Run(nil, Req{Keys: [][]byte{a, b}, Sync: sb}, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		return nil
@@ -736,7 +735,7 @@ func TestDeferredSyncNilStore(t *testing.T) {
 	if err := sb.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	err := s.AtomicKeyDefer(nil, memtx.TxOptions{}, []byte("k"), sb, func(tx *Tx) error {
+	err := s.Run(nil, Req{Keys: [][]byte{[]byte("k")}, Sync: sb}, func(tx *Tx) error {
 		tx.Set([]byte("k"), []byte("v"))
 		return nil
 	})
@@ -769,7 +768,7 @@ func TestCheckpointSyncsLogBeforeSnapshot(t *testing.T) {
 	sb := s.NewSyncBatch()
 	for i := 0; i < 32; i++ {
 		key := []byte(fmt.Sprintf("cp%04d", i))
-		err := s.AtomicKeyDefer(nil, memtx.TxOptions{}, key, sb, func(tx *Tx) error {
+		err := s.Run(nil, Req{Keys: [][]byte{key}, Sync: sb}, func(tx *Tx) error {
 			tx.Set(key, []byte("v"))
 			return nil
 		})
@@ -778,7 +777,7 @@ func TestCheckpointSyncsLogBeforeSnapshot(t *testing.T) {
 		}
 	}
 	a, b := crossPair(t, s)
-	err = s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+	err = s.Run(nil, Req{Keys: [][]byte{a, b}, Sync: sb}, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		return nil
@@ -832,7 +831,7 @@ func TestFailedSyncKeepsInflightPinned(t *testing.T) {
 
 	sb := s.NewSyncBatch()
 	a, b := crossPair(t, s)
-	err = s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+	err = s.Run(nil, Req{Keys: [][]byte{a, b}, Sync: sb}, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		return nil
@@ -844,8 +843,17 @@ func TestFailedSyncKeepsInflightPinned(t *testing.T) {
 	if s.minInflightLSN(sidA) == 0 || s.minInflightLSN(sidB) == 0 {
 		t.Fatal("deferred cross-shard commit not registered in-flight")
 	}
-	if err := os.RemoveAll(wal.ShardDir(dir, sidA)); err != nil {
-		t.Fatal(err)
+	// The appender rolls the segment it has just written (SegmentBytes 1)
+	// concurrently with this removal, so one pass can find a freshly created
+	// segment and fail with "directory not empty"; repeat until it is gone.
+	for try := 0; ; try++ {
+		err := os.RemoveAll(wal.ShardDir(dir, sidA))
+		if err == nil {
+			break
+		}
+		if try == 10 {
+			t.Fatal(err)
+		}
 	}
 	if err := sb.Wait(); err == nil {
 		t.Fatal("Wait succeeded with shard A's log directory gone")

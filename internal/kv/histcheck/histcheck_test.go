@@ -199,7 +199,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					c := wk.Begin()
 					var out1, out2 string
 					var ok1, ok2 bool
-					if err := s.ViewKeys(pair, func(tx *kv.Tx) error {
+					if err := s.Run(nil, kv.Req{Keys: pair, ReadOnly: true}, func(tx *kv.Tx) error {
 						v1, o1 := tx.Get(k)
 						v2, o2 := tx.Get(k2)
 						out1, ok1 = string(v1), o1

@@ -1,5 +1,5 @@
 // Package kv is a sharded transactional key-value store — the storage layer
-// of the stmkvd server. Transactions retry through loops built on the
+// of the stmkvd server. Transactions retry through engine.Loop and use the
 // decomposed engine interface (engine.Txn/Handle) directly: walking a hash
 // chain through the Record convenience layer would allocate a wrapper per
 // node visited, and the serving hot path must stay allocation-free.
@@ -11,14 +11,13 @@
 // Sharding is therefore a real consistency boundary, and transactions come
 // in two flavours:
 //
-//   - Single-shard (AtomicKey/ViewKey, and AtomicKeys/ViewKeys whose keys
-//     co-locate): one transaction on the key's shard engine, committing
-//     entirely locally. Reads need no cross-shard coordination at all;
-//     writes additionally hold the shard's cross-shard gate in shared mode
-//     (see below).
+//   - Single-shard (Run with keys that all co-locate): one transaction on
+//     the keys' shard engine, committing entirely locally. Reads need no
+//     cross-shard coordination at all; writes additionally hold the shard's
+//     cross-shard gate in shared mode (see below).
 //
-//   - Cross-shard (AtomicKeys/ViewKeys spanning shards, and the store-wide
-//     Atomic/View): one transaction per involved shard, driven through a
+//   - Cross-shard (Run with keys spanning shards, or with none declared —
+//     store-wide): one transaction per involved shard, driven through a
 //     deterministic-order two-phase commit. The involved shards' gates are
 //     acquired in ascending shard-id order (writers exclusively, readers
 //     shared), the body runs against lazily-begun per-shard transactions,
@@ -353,17 +352,18 @@ func (s *Store) ObsMetrics() []obs.Metric {
 			degraded = 1
 		}
 		ms = append(ms, obs.Metric{
-			Name: "stmkvd_degraded_mode",
-			Help: "1 while the store is read-only because the WAL hit ENOSPC.",
-			Kind: obs.Gauge,
+			Name:  "stmkvd_degraded_mode",
+			Help:  "1 while the store is read-only because the WAL hit ENOSPC.",
+			Kind:  obs.Gauge,
 			Value: degraded,
 		})
 	}
 	return ms
 }
 
-// Tx is one key-value transaction attempt. It is only valid inside the
-// Atomic, View, or Reader body that received it.
+// Tx is one key-value transaction attempt. It is only valid inside the Run
+// or Reader body that received it; Run recycles it once the transaction
+// finishes.
 //
 // A Tx runs in one of two modes. In single-shard mode (sid >= 0) every key
 // must hash to the pinned shard; a key outside it panics, because the core
@@ -380,7 +380,7 @@ type Tx struct {
 	txns    []engine.Txn // multi-shard: lazily-begun per-shard transactions
 	allowed []bool       // multi-shard: declared shard set; nil = all shards
 
-	ctx      context.Context // non-nil on Ctx paths: bound into each begun txn
+	ctx      context.Context // non-nil in bounded runs: bound into each begun txn
 	deadline time.Time
 	karma    int // attempts already lost; threaded into each begun txn
 
@@ -410,23 +410,7 @@ func (t *Tx) txnFor(sid int) engine.Txn {
 	if t.allowed != nil && !t.allowed[sid] {
 		panic(fmt.Sprintf("kv: key hashes to shard %d outside this transaction's declared shard set", sid))
 	}
-	sh := &t.s.shards[sid]
-	var tx engine.Txn
-	if t.readonly {
-		tx = sh.eng.BeginReadOnly()
-	} else {
-		tx = sh.eng.Begin()
-	}
-	if t.ctx != nil {
-		if cb, ok := tx.(engine.CtxBinder); ok {
-			cb.BindContext(t.ctx, t.deadline)
-		}
-	}
-	if t.karma > 0 {
-		if ks, ok := tx.(engine.KarmaSetter); ok {
-			ks.SetKarma(t.karma)
-		}
-	}
+	tx := engine.BeginAttempt(t.s.shards[sid].eng, t.readonly, t.ctx, t.deadline, t.karma)
 	t.txns[sid] = tx
 	return tx
 }
@@ -640,189 +624,112 @@ func (s *Store) unlockShards(allowed []bool, exclusive bool) {
 	}
 }
 
-// runLoop is the shared retry loop: lock, one attempt, unlock, backoff;
-// bounded by ctx and opts exactly like engine.RunCtx when either is set.
-// observe is called with the conflict count after a successful attempt.
-// The unlock runs under defer so a panic escaping the attempt (the fault
-// injector's ActPanic, or a protocol violation) cannot leak gate locks.
-// cm is the contention-management controller pacing the backoff (and fed
-// every attempt outcome); karma hands the attempt callback the number of
-// attempts already lost, for engines with karma-priority waits.
-func runLoop(ctx context.Context, opts engine.RunOptions, cm *engine.CM,
-	lock, unlock func(),
-	att func(ctx context.Context, deadline time.Time, karma int) (error, bool),
-	observe func(conflicts int)) error {
-
-	runOne := func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		lock()
-		defer unlock()
-		err, conflicted := att(ctx, deadline, karma)
-		cm.ObserveOutcome(conflicted)
-		return err, conflicted
-	}
-
-	if ctx == nil && opts.MaxAttempts == 0 && opts.MaxElapsed == 0 {
-		var b engine.Backoff
-		b.Bind(cm)
-		conflicts := 0
-		for {
-			err, conflicted := runOne(nil, time.Time{}, conflicts)
-			if !conflicted {
-				if err == nil {
-					observe(conflicts)
-				}
-				return err
-			}
-			conflicts++
-			b.Wait()
-		}
-	}
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	var deadline time.Time
-	budgetDeadline := false
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	if opts.MaxElapsed > 0 {
-		if b := start.Add(opts.MaxElapsed); deadline.IsZero() || b.Before(deadline) {
-			deadline, budgetDeadline = b, true
-		}
-	}
-	var b engine.Backoff
-	b.Bind(cm)
-	attempts, conflicts := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			op := "canceled"
-			if errors.Is(err, context.DeadlineExceeded) {
-				op = "deadline"
-			}
-			return engine.NewTimeoutError(op, attempts, time.Since(start), err)
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			if budgetDeadline {
-				return engine.NewTimeoutError("max-elapsed", attempts, time.Since(start), engine.ErrRetryBudget)
-			}
-			return engine.NewTimeoutError("deadline", attempts, time.Since(start), context.DeadlineExceeded)
-		}
-		attempts++
-		err, conflicted := runOne(ctx, deadline, conflicts)
-		if !conflicted {
-			if err == nil {
-				observe(conflicts)
-			}
-			return err
-		}
-		conflicts++
-		if opts.MaxAttempts > 0 && attempts >= opts.MaxAttempts {
-			return engine.NewTimeoutError("max-attempts", attempts, time.Since(start), engine.ErrRetryBudget)
-		}
-		b.WaitCtx(ctx, deadline)
-	}
+// Req describes one store transaction for Run.
+type Req struct {
+	// Keys declares the keys the body may touch. When they all hash to one
+	// shard the transaction takes the single-shard path; otherwise it runs
+	// the cross-shard two-phase protocol over exactly their shards. Nil (or
+	// empty) declares every shard. A key outside the declared set panics.
+	Keys [][]byte
+	// ReadOnly selects the cheaper read-only protocol; mutating operations
+	// panic.
+	ReadOnly bool
+	// Opts bounds the retry loop together with Run's ctx (see engine.Loop).
+	Opts memtx.TxOptions
+	// Sync, when non-nil, takes over a durable write's fsync wait: the
+	// transaction commits and its log record is appended, but Run returns
+	// without waiting for the fsync. The caller MUST see Sync.Wait succeed
+	// before acknowledging the write to anyone. Ignored on reads and on a
+	// store without a WAL.
+	Sync *SyncBatch
 }
 
-func noLock() {}
+// Run runs body as one transaction described by r: every Get, Set, Delete,
+// and CompareAndSet inside body commits or aborts together, regardless of
+// how many shards the keys hit. It re-executes body on conflict until it
+// commits; a non-nil error from body aborts and is returned unchanged. With
+// a non-nil ctx or non-zero r.Opts the retries are bounded: on cancellation,
+// deadline expiry, or retry-budget exhaustion Run gives up with an
+// *engine.TimeoutError, leaving the store unchanged. Per-type op counters
+// fold in only after a successful commit, so retried attempts are not
+// double-counted.
+//
+// Single-shard reads need no cross-shard coordination at all: a shard's
+// publish is one atomic engine commit, so a single-shard snapshot can never
+// observe a torn cross-shard write. A store-wide write acquires every
+// shard's gate exclusively, so it serializes against all writers — declare
+// the keys when they are known.
+func (s *Store) Run(ctx context.Context, r Req, body func(t *Tx) error) error {
+	sid, set := s.shardSetOf(r.Keys)
+	if sid >= 0 {
+		return s.runSingle(ctx, r, sid, body)
+	}
+	return s.runCross(ctx, r, set, body)
+}
 
-// runSingle executes body against one shard. Writers hold the shard's gate
+// Atomic runs body as one write transaction over the whole store.
+func (s *Store) Atomic(body func(t *Tx) error) error {
+	return s.Run(nil, Req{}, body)
+}
+
+// View runs body as a read-only transaction over the whole store.
+func (s *Store) View(body func(t *Tx) error) error {
+	return s.Run(nil, Req{ReadOnly: true}, body)
+}
+
+// AtomicKey runs body as a write transaction pinned to key's shard.
+func (s *Store) AtomicKey(key []byte, body func(t *Tx) error) error {
+	return s.Run(nil, Req{Keys: [][]byte{key}}, body)
+}
+
+// ViewKey runs body as a read-only transaction pinned to key's shard.
+func (s *Store) ViewKey(key []byte, body func(t *Tx) error) error {
+	return s.Run(nil, Req{Keys: [][]byte{key}, ReadOnly: true}, body)
+}
+
+// AtomicKeys runs body as one write transaction over the shards keys hash
+// to.
+func (s *Store) AtomicKeys(keys [][]byte, body func(t *Tx) error) error {
+	return s.Run(nil, Req{Keys: keys}, body)
+}
+
+// runSingle executes body against shard sid. Writers hold the shard's gate
 // shared across each attempt so a cross-shard writer's exclusive gate can
-// fence them out of its prepare→publish window; readers run gate-free.
-func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, readonly bool, body func(*Tx) error) error {
-	return s.runSingleSB(ctx, opts, sid, readonly, nil, body)
-}
-
-// runSingleSB is runSingle with an optional deferred-sync target: a non-nil
-// sb absorbs the commit's durability wait (the caller syncs later, before
-// acknowledging) instead of blocking here.
-func (s *Store) runSingleSB(ctx context.Context, opts engine.RunOptions, sid int, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
+// fence them out of its prepare→publish window; readers run gate-free. The
+// unlock runs under defer so a panic escaping the attempt (the fault
+// injector's ActPanic) cannot leak the gate.
+func (s *Store) runSingle(ctx context.Context, r Req, sid int, body func(*Tx) error) error {
 	sh := &s.shards[sid]
-	t := Tx{s: s, sid: sid, readonly: readonly}
-	wrap := func(engine.Txn) error { return body(&t) }
-
-	lock, unlock := noLock, noLock
-	if !readonly {
-		lock, unlock = sh.xmu.RLock, sh.xmu.RUnlock
-	}
+	t := s.newTx(sid, r.ReadOnly, nil)
+	wrap := func(engine.Txn) error { return body(t) }
 	var commit func(engine.Txn) error
-	var ws *walScratch
-	if s.wal != nil && !readonly {
-		commit = func(tx engine.Txn) error { return s.durableCommitSingle(sid, &t, tx) }
-		ws = t.borrowWALScratch()
+	if s.wal != nil && !r.ReadOnly {
+		commit = func(tx engine.Txn) error { return s.durableCommitSingle(sid, t, tx) }
 	}
-	att := func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		var tx engine.Txn
-		if readonly {
-			tx = sh.eng.BeginReadOnly()
-		} else {
-			tx = sh.eng.Begin()
+	conflicts, err := engine.Loop(ctx, r.Opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+		if !r.ReadOnly {
+			sh.xmu.RLock()
+			defer sh.xmu.RUnlock()
 		}
-		if ctx != nil {
-			if cb, ok := tx.(engine.CtxBinder); ok {
-				cb.BindContext(ctx, deadline)
-			}
-		}
-		if karma > 0 {
-			if ks, ok := tx.(engine.KarmaSetter); ok {
-				ks.SetKarma(karma)
-			}
-		}
-		t.raw = tx
+		t.raw = engine.BeginAttempt(sh.eng, r.ReadOnly, ctx, deadline, karma)
 		t.counts = [NumOps]uint32{}
 		t.effs = t.effs[:0]
-		return engine.AttemptWith(tx, wrap, commit)
-	}
-	err := runLoop(ctx, opts, sh.eng.CM(), lock, unlock, att, func(conflicts int) {
-		sh.eng.Metrics().ObserveRetries(conflicts)
-		s.fold(&t)
+		return engine.AttemptWith(t.raw, wrap, commit)
 	})
-	// The fsync wait runs after the gate is released, so parked commits never
-	// hold up other transactions; the write is acknowledged only once its log
-	// record (and its whole group) is durable. A SyncBatch defers that wait
-	// to the caller's acknowledgment boundary instead.
-	if s.wal != nil && !readonly {
-		if sb != nil {
-			sb.note(&t)
-		} else if serr := s.walSyncAll(&t); err == nil {
-			err = serr
-		}
-		ws.release(&t)
+	if err == nil {
+		sh.eng.Metrics().ObserveRetries(conflicts)
+		s.fold(t)
 	}
-	return err
+	return s.finish(t, r.Sync, err)
 }
 
 // runCross executes body across the declared shard set (nil = every shard)
-// through the two-phase gate protocol.
-func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []bool, readonly bool, body func(*Tx) error) error {
-	return s.runCrossSB(ctx, opts, allowed, readonly, nil, body)
-}
-
-// runCrossSB is runCross with an optional deferred-sync target (see
-// runSingleSB).
-func (s *Store) runCrossSB(ctx context.Context, opts engine.RunOptions, allowed []bool, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
-	t := Tx{
-		s:        s,
-		sid:      -1,
-		readonly: readonly,
-		txns:     make([]engine.Txn, len(s.shards)),
-		allowed:  allowed,
-	}
-	exclusive := !readonly
-	var ws *walScratch
-	if s.wal != nil && !readonly {
-		ws = t.borrowWALScratch()
-	}
-	att := func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		t.ctx, t.deadline = ctx, deadline
-		t.karma = karma
-		err, conflicted := t.crossAttempt(body)
-		if conflicted {
-			s.crossRetries.Add(1)
-		}
-		return err, conflicted
-	}
+// through the two-phase gate protocol. The gates are taken and released
+// around each attempt, the release under defer so a panic escaping the
+// attempt (the fault injector's ActPanic, or a protocol violation) cannot
+// leak them.
+func (s *Store) runCross(ctx context.Context, r Req, allowed []bool, body func(*Tx) error) error {
+	t := s.newTx(-1, r.ReadOnly, allowed)
 	// Cross-shard attempts are paced by the first involved shard's
 	// controller: the set is locked in ascending order, so that shard sees
 	// every such transaction and its abort-rate estimate covers them.
@@ -833,25 +740,72 @@ func (s *Store) runCrossSB(ctx context.Context, opts engine.RunOptions, allowed 
 			break
 		}
 	}
-	err := runLoop(ctx, opts, s.shards[cmSid].eng.CM(),
-		func() { s.lockShards(allowed, exclusive) },
-		func() { s.unlockShards(allowed, exclusive) },
-		att,
-		func(conflicts int) {
-			for _, sid := range t.committed {
-				s.shards[sid].eng.Metrics().ObserveRetries(conflicts)
-			}
-			s.crossCommits.Add(1)
-			s.fold(&t)
-		})
-	if s.wal != nil && !readonly {
+	conflicts, err := engine.Loop(ctx, r.Opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+		s.lockShards(allowed, !r.ReadOnly)
+		defer s.unlockShards(allowed, !r.ReadOnly)
+		t.ctx, t.deadline, t.karma = ctx, deadline, karma
+		err, conflicted := t.crossAttempt(body)
+		if conflicted {
+			s.crossRetries.Add(1)
+		}
+		return err, conflicted
+	})
+	if err == nil {
+		for _, sid := range t.committed {
+			s.shards[sid].eng.Metrics().ObserveRetries(conflicts)
+		}
+		s.crossCommits.Add(1)
+		s.fold(t)
+	}
+	return s.finish(t, r.Sync, err)
+}
+
+// txPool recycles Tx values together with their scratch slices — WAL effect
+// capture, encode scratch, durability waits, participant table, and the
+// per-shard transaction table — so the serving hot path allocates none of
+// them per transaction.
+var txPool = sync.Pool{New: func() any { return new(Tx) }}
+
+// newTx takes a Tx from the pool for one Run: pinned to shard sid, or
+// multi-shard over allowed (nil = every shard) when sid < 0.
+func (s *Store) newTx(sid int, readonly bool, allowed []bool) *Tx {
+	t := txPool.Get().(*Tx)
+	t.s, t.sid, t.readonly, t.allowed = s, sid, readonly, allowed
+	if sid < 0 {
+		if cap(t.txns) < len(s.shards) {
+			t.txns = make([]engine.Txn, len(s.shards))
+		}
+		t.txns = t.txns[:len(s.shards)]
+	}
+	return t
+}
+
+// finish ends a Run once its gates are released, so parked commits never
+// hold up other transactions. A durable write waits for its log records
+// (and their whole group) to become durable, or hands that wait to sb, the
+// caller's acknowledgment boundary. Then t goes back to the pool with every
+// reference it holds cleared, so pooled entries do not pin caller key/value
+// buffers, contexts, or engine transactions.
+func (s *Store) finish(t *Tx, sb *SyncBatch, err error) error {
+	if s.wal != nil && !t.readonly {
 		if sb != nil {
-			sb.note(&t)
-		} else if serr := s.walSyncAll(&t); err == nil {
+			sb.note(t)
+		} else if serr := s.walSyncAll(t); err == nil {
 			err = serr
 		}
-		ws.release(&t)
 	}
+	clear(t.txns[:cap(t.txns)])
+	clear(t.effs[:cap(t.effs)])
+	clear(t.encOps[:cap(t.encOps)])
+	*t = Tx{
+		txns:        t.txns[:0],
+		committed:   t.committed[:0],
+		effs:        t.effs[:0],
+		encOps:      t.encOps[:0],
+		syncs:       t.syncs[:0],
+		partScratch: t.partScratch[:0],
+	}
+	txPool.Put(t)
 	return err
 }
 
@@ -877,122 +831,6 @@ func (s *Store) shardSetOf(keys [][]byte) (int, []bool) {
 		set[s.KeyShard(k)] = true
 	}
 	return -1, set
-}
-
-// Atomic runs body as one transaction over the whole store: every Get, Set,
-// Delete, and CompareAndSet inside body commits or aborts together,
-// regardless of how many shards the keys hit. It acquires every shard's
-// gate exclusively, so it serializes against all writers — prefer AtomicKey
-// or AtomicKeys when the key set is known. A non-nil error from body aborts
-// and is returned unchanged. Per-type op counters fold in only after a
-// successful commit, so retried attempts are not double-counted.
-func (s *Store) Atomic(body func(t *Tx) error) error {
-	return s.runCross(nil, engine.RunOptions{}, nil, false, body)
-}
-
-// View runs body as a read-only transaction over the whole store (cheaper
-// protocol; mutating operations panic).
-func (s *Store) View(body func(t *Tx) error) error {
-	return s.runCross(nil, engine.RunOptions{}, nil, true, body)
-}
-
-// AtomicCtx is Atomic bounded by ctx and opts (see memtx.TM.AtomicCtx): on
-// cancellation, deadline expiry, or retry-budget exhaustion it gives up with
-// an *engine.TimeoutError instead of retrying forever. The store is
-// unchanged when it gives up — the failed attempts all rolled back.
-func (s *Store) AtomicCtx(ctx context.Context, opts memtx.TxOptions, body func(t *Tx) error) error {
-	return s.runCross(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, nil, false, body)
-}
-
-// ViewCtx is View bounded by ctx and opts (see AtomicCtx).
-func (s *Store) ViewCtx(ctx context.Context, opts memtx.TxOptions, body func(t *Tx) error) error {
-	return s.runCross(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, nil, true, body)
-}
-
-// AtomicKey runs body as a transaction pinned to key's shard — the
-// single-shard fast path. Every key body touches must hash to the same
-// shard; a key outside it panics.
-func (s *Store) AtomicKey(key []byte, body func(t *Tx) error) error {
-	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), false, body)
-}
-
-// ViewKey is AtomicKey's read-only counterpart. It needs no cross-shard
-// coordination at all: a shard's publish is one atomic engine commit, so a
-// single-shard snapshot can never observe a torn cross-shard write.
-func (s *Store) ViewKey(key []byte, body func(t *Tx) error) error {
-	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), true, body)
-}
-
-// AtomicKeyCtx is AtomicKey bounded by ctx and opts (see AtomicCtx).
-func (s *Store) AtomicKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte, body func(t *Tx) error) error {
-	return s.runSingle(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, s.KeyShard(key), false, body)
-}
-
-// ViewKeyCtx is ViewKey bounded by ctx and opts (see AtomicCtx).
-func (s *Store) ViewKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte, body func(t *Tx) error) error {
-	return s.runSingle(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, s.KeyShard(key), true, body)
-}
-
-// AtomicKeys runs body as one atomic transaction over the shards the given
-// keys hash to. When every key co-locates it takes the single-shard fast
-// path; otherwise it runs the cross-shard two-phase protocol over exactly
-// the declared shards. Body may touch any key whose shard is declared.
-func (s *Store) AtomicKeys(keys [][]byte, body func(t *Tx) error) error {
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(nil, engine.RunOptions{}, sid, false, body)
-	}
-	return s.runCross(nil, engine.RunOptions{}, set, false, body)
-}
-
-// ViewKeys is AtomicKeys' read-only counterpart.
-func (s *Store) ViewKeys(keys [][]byte, body func(t *Tx) error) error {
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(nil, engine.RunOptions{}, sid, true, body)
-	}
-	return s.runCross(nil, engine.RunOptions{}, set, true, body)
-}
-
-// AtomicKeysCtx is AtomicKeys bounded by ctx and opts (see AtomicCtx).
-func (s *Store) AtomicKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(ctx, ro, sid, false, body)
-	}
-	return s.runCross(ctx, ro, set, false, body)
-}
-
-// ViewKeysCtx is ViewKeys bounded by ctx and opts (see AtomicCtx).
-func (s *Store) ViewKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(ctx, ro, sid, true, body)
-	}
-	return s.runCross(ctx, ro, set, true, body)
-}
-
-// AtomicKeyDefer is AtomicKeyCtx with the commit's durability wait deferred
-// into sb: the transaction commits and its log record is appended, but the
-// call returns without waiting for the fsync. The caller MUST call sb.Wait
-// before acknowledging the write to anyone. A nil ctx is allowed; on a store
-// without a WAL it behaves exactly like AtomicKeyCtx.
-func (s *Store) AtomicKeyDefer(ctx context.Context, opts memtx.TxOptions, key []byte, sb *SyncBatch, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	return s.runSingleSB(ctx, ro, s.KeyShard(key), false, sb, body)
-}
-
-// AtomicKeysDefer is AtomicKeysCtx with the commit's durability wait
-// deferred into sb (see AtomicKeyDefer).
-func (s *Store) AtomicKeysDefer(ctx context.Context, opts memtx.TxOptions, keys [][]byte, sb *SyncBatch, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingleSB(ctx, ro, sid, false, sb, body)
-	}
-	return s.runCrossSB(ctx, ro, set, false, sb, body)
 }
 
 // Reader is a reusable single-attempt read-only runner bound to one body.

@@ -259,7 +259,7 @@ func TestNoTornMSet(t *testing.T) {
 					}
 					var gens []int64
 					err, ok := call(func() error {
-						return s.ViewKeys(keys, func(tx *Tx) error {
+						return s.Run(nil, Req{Keys: keys, ReadOnly: true}, func(tx *Tx) error {
 							gens = gens[:0]
 							for _, k := range keys {
 								v, err := tx.Int(k)
@@ -359,7 +359,7 @@ func TestDeadlockCanary(t *testing.T) {
 			}
 		}
 		var av, bv int64
-		err := s.ViewKeys([][]byte{a, b}, func(tx *Tx) error {
+		err := s.Run(nil, Req{Keys: [][]byte{a, b}, ReadOnly: true}, func(tx *Tx) error {
 			var err error
 			if av, err = tx.Int(a); err != nil {
 				return err
@@ -418,7 +418,7 @@ func TestChaosMSetVisibility(t *testing.T) {
 	chaos.Disable()
 
 	var vals [][]byte
-	err := s.ViewKeys(keys, func(tx *Tx) error {
+	err := s.Run(nil, Req{Keys: keys, ReadOnly: true}, func(tx *Tx) error {
 		vals = vals[:0]
 		for _, k := range keys {
 			v, ok := tx.Get(k)

@@ -143,7 +143,7 @@ func TestMultiKeyRouting(t *testing.T) {
 		}
 
 		// ViewKeys across shards reads a consistent cut without panicking.
-		err := s.ViewKeys([][]byte{b0, b1}, func(tx *Tx) error {
+		err := s.Run(nil, Req{Keys: [][]byte{b0, b1}, ReadOnly: true}, func(tx *Tx) error {
 			tx.Get(b0)
 			tx.Get(b1)
 			return nil

@@ -30,7 +30,8 @@ func disableGC(t *testing.T) {
 // response path — frame read, parse, snapshot transaction, and response
 // assembly — at zero allocations per op once the connection's scratch is
 // warm; the write paths get bounded budgets rather than zero because value
-// records and retry closures are allocated by design.
+// records are allocated by design. The write budgets are the counts measured
+// under Go 1.24 (SET 2, INCR 4) plus one for older toolchains.
 func TestDispatchAllocs(t *testing.T) {
 	disableGC(t)
 	store := kv.New(kv.Config{Shards: 4, Buckets: 64})
@@ -71,12 +72,12 @@ func TestDispatchAllocs(t *testing.T) {
 		t.Errorf("GET-miss response path allocates %.2f allocs/op, want 0", avg)
 	}
 	set()
-	if avg := testing.AllocsPerRun(200, set); avg > 24 {
-		t.Errorf("SET path allocates %.2f allocs/op, want <= 24", avg)
+	if avg := testing.AllocsPerRun(200, set); avg > 3 {
+		t.Errorf("SET path allocates %.2f allocs/op, want <= 3", avg)
 	}
 	incr()
-	if avg := testing.AllocsPerRun(200, incr); avg > 32 {
-		t.Errorf("INCR path allocates %.2f allocs/op, want <= 32", avg)
+	if avg := testing.AllocsPerRun(200, incr); avg > 5 {
+		t.Errorf("INCR path allocates %.2f allocs/op, want <= 5", avg)
 	}
 }
 
@@ -84,7 +85,9 @@ func TestDispatchAllocs(t *testing.T) {
 // parse, transaction, pooled WAL record encode, pipeline enqueue, and the
 // group-commit durability wait before the ACK. The WAL layer itself must not
 // add unpooled per-commit allocations on top of the in-memory SET path — the
-// record buffer, effect capture, and sync scratch all come from pools.
+// record buffer, effect capture, and sync scratch all come from pools. The
+// budget is the count measured under Go 1.24 (2) plus one for older
+// toolchains.
 func TestDurableSetAllocs(t *testing.T) {
 	disableGC(t)
 	store, _, err := kv.Open(kv.Config{Shards: 4, Buckets: 64},
@@ -115,7 +118,7 @@ func TestDurableSetAllocs(t *testing.T) {
 		}
 	}
 	set() // warm connection scratch, pooled transaction, and WAL pools
-	if avg := testing.AllocsPerRun(200, set); avg > 30 {
-		t.Errorf("durable SET path allocates %.2f allocs/op, want <= 30", avg)
+	if avg := testing.AllocsPerRun(200, set); avg > 3 {
+		t.Errorf("durable SET path allocates %.2f allocs/op, want <= 3", avg)
 	}
 }

@@ -253,7 +253,7 @@ func New(store *kv.Store, cfg Config) *Server {
 		maxWriteBatch: cfg.MaxWriteBatch,
 		errorLog:      cfg.ErrorLog,
 		sem:           make(chan struct{}, cfg.MaxInflight),
-		cmdDeadline:   cfg.CmdDeadline,
+		cmdDeadline:   max(cfg.CmdDeadline, 0),
 		queueTimeout:  cfg.QueueTimeout,
 		readTimeout:   cfg.ReadTimeout,
 		writeTimeout:  cfg.WriteTimeout,
@@ -970,7 +970,7 @@ func (s *Server) runWriteBatchTxn(c *conn) (err error) {
 			err = fmt.Errorf("server: write batch panic: %v", r)
 		}
 	}()
-	return s.runAtomicKey(c, c.batch[0].cmd.Args[0].B, c.wbody)
+	return s.runTx(c, [][]byte{c.batch[0].cmd.Args[0].B}, false, c.wbody)
 }
 
 // writeBatchBody applies the collected batch inside one write transaction,
@@ -1122,57 +1122,15 @@ func (s *Server) release(c *conn) {
 	<-s.sem
 }
 
-// runAtomicKey runs body as one write transaction pinned to key's shard,
-// bounded by CmdDeadline when one is configured. Single-key commands never
-// touch any state outside that shard. On a durable store the commit's fsync
+// runTx runs body as one transaction over the shards keys hash to: locally
+// when they co-locate, through the cross-shard commit path otherwise, bounded
+// by CmdDeadline when one is configured. On a durable store a write's fsync
 // wait is deferred into c's SyncBatch — serveConn syncs before any response
 // reaches the wire, so pipelined writes in one window share one group-commit
 // wait per shard instead of parking per command.
-func (s *Server) runAtomicKey(c *conn, key []byte, body func(t *kv.Tx) error) error {
-	opts := memtx.TxOptions{}
-	if s.cmdDeadline > 0 {
-		opts.MaxElapsed = s.cmdDeadline
-	}
-	if c.sb != nil {
-		return s.store.AtomicKeyDefer(nil, opts, key, c.sb, body)
-	}
-	if s.cmdDeadline <= 0 {
-		return s.store.AtomicKey(key, body)
-	}
-	return s.store.AtomicKeyCtx(context.Background(), opts, key, body)
-}
-
-// runViewKey is runAtomicKey's read-only twin.
-func (s *Server) runViewKey(key []byte, body func(t *kv.Tx) error) error {
-	if s.cmdDeadline <= 0 {
-		return s.store.ViewKey(key, body)
-	}
-	return s.store.ViewKeyCtx(context.Background(), memtx.TxOptions{MaxElapsed: s.cmdDeadline}, key, body)
-}
-
-// runAtomicKeys runs body atomically over the shards keys hash to: locally
-// when they co-locate, through the cross-shard commit path otherwise. Like
-// runAtomicKey it defers the durability wait into c's SyncBatch.
-func (s *Server) runAtomicKeys(c *conn, keys [][]byte, body func(t *kv.Tx) error) error {
-	opts := memtx.TxOptions{}
-	if s.cmdDeadline > 0 {
-		opts.MaxElapsed = s.cmdDeadline
-	}
-	if c.sb != nil {
-		return s.store.AtomicKeysDefer(nil, opts, keys, c.sb, body)
-	}
-	if s.cmdDeadline <= 0 {
-		return s.store.AtomicKeys(keys, body)
-	}
-	return s.store.AtomicKeysCtx(context.Background(), opts, keys, body)
-}
-
-// runViewKeys is runAtomicKeys' read-only twin.
-func (s *Server) runViewKeys(keys [][]byte, body func(t *kv.Tx) error) error {
-	if s.cmdDeadline <= 0 {
-		return s.store.ViewKeys(keys, body)
-	}
-	return s.store.ViewKeysCtx(context.Background(), memtx.TxOptions{MaxElapsed: s.cmdDeadline}, keys, body)
+func (s *Server) runTx(c *conn, keys [][]byte, readonly bool, body func(t *kv.Tx) error) error {
+	r := kv.Req{Keys: keys, ReadOnly: readonly, Opts: memtx.TxOptions{MaxElapsed: s.cmdDeadline}, Sync: c.sb}
+	return s.store.Run(nil, r, body)
 }
 
 // cmdErr renders a command error, counting deadline/budget exhaustion on
@@ -1233,7 +1191,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		}
 		var v []byte
 		var ok bool
-		err := s.runViewKey(args[0].B, func(t *kv.Tx) error {
+		err := s.runTx(c, [][]byte{args[0].B}, true, func(t *kv.Tx) error {
 			v, ok = t.Get(args[0].B)
 			return nil
 		})
@@ -1254,7 +1212,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if !s.acquire(c) {
 			return bodyBusy
 		}
-		err := s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
+		err := s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			t.Set(args[0].B, args[1].B)
 			return nil
 		})
@@ -1272,7 +1230,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 			return bodyBusy
 		}
 		removed := false
-		err := s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
+		err := s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			removed = t.Delete(args[0].B)
 			return nil
 		})
@@ -1293,7 +1251,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 			return bodyBusy
 		}
 		swapped := false
-		err := s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
+		err := s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			swapped = t.CompareAndSet(args[0].B, args[1].B, args[2].B)
 			return nil
 		})
@@ -1318,7 +1276,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 			return bodyBusy
 		}
 		var after int64
-		err = s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
+		err = s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			var err error
 			after, err = t.Add(args[0].B, delta)
 			return err
@@ -1345,7 +1303,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		}
 		ok := false
 		c.keys = append(c.keys[:0], args[0].B, args[1].B)
-		err = s.runAtomicKeys(c, c.keys, func(t *kv.Tx) error {
+		err = s.runTx(c, c.keys, false, func(t *kv.Tx) error {
 			ok = false
 			src, err := t.Int(args[0].B)
 			if err != nil {
@@ -1384,7 +1342,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		for _, a := range args {
 			c.keys = append(c.keys, a.B)
 		}
-		err := s.runViewKeys(c.keys, func(t *kv.Tx) error {
+		err := s.runTx(c, c.keys, true, func(t *kv.Tx) error {
 			for i, a := range args {
 				if v, ok := t.Get(a.B); ok {
 					vals[i] = wire.Blob(v)
@@ -1412,7 +1370,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		for i := 0; i < len(args); i += 2 {
 			c.keys = append(c.keys, args[i].B)
 		}
-		err := s.runAtomicKeys(c, c.keys, func(t *kv.Tx) error {
+		err := s.runTx(c, c.keys, false, func(t *kv.Tx) error {
 			for i := 0; i < len(args); i += 2 {
 				t.Set(args[i].B, args[i+1].B)
 			}

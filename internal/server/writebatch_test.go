@@ -226,7 +226,7 @@ func TestWriteBatchAtomicToSnapshotReader(t *testing.T) {
 			default:
 			}
 			var a, b int64
-			err := store.ViewKeys(keys, func(t *kv.Tx) error {
+			err := store.Run(nil, kv.Req{Keys: keys, ReadOnly: true}, func(t *kv.Tx) error {
 				var err error
 				if a, err = t.Int(keyA); err != nil {
 					return err

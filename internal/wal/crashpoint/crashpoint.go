@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 
-	"memtx"
 	"memtx/internal/kv"
 	"memtx/internal/wal/walfs"
 )
@@ -228,7 +227,7 @@ func record(cfg Config) (*trace, error) {
 	// between runs, and is acknowledged once sb.Wait returns.
 	transfer := func(a, b, amt int, sb *kv.SyncBatch, between func() error) error {
 		start := fsys.JournalLen()
-		err := store.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{bankKey(a), bankKey(b)}, sb, func(t *kv.Tx) error {
+		err := store.Run(nil, kv.Req{Keys: [][]byte{bankKey(a), bankKey(b)}, Sync: sb}, func(t *kv.Tx) error {
 			av, _ := t.Get(bankKey(a))
 			bv, _ := t.Get(bankKey(b))
 			an, _ := strconv.Atoi(string(av))
