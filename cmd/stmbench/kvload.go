@@ -29,7 +29,6 @@ type kvOptions struct {
 	duration     time.Duration
 	pipeline     int
 	batches      string // comma-separated MaxBatch values, only for self sweeps
-	writeBatches string // comma-separated MaxWriteBatch values, only for self sweeps
 	cms          string // comma-separated CM policies, only for self sweeps
 	procs        string // comma-separated GOMAXPROCS values, only for self sweeps
 	walBatches   string // comma-separated WAL fsync batches (-1 = off), only for self sweeps
@@ -108,10 +107,6 @@ func runKVLoad(o kvOptions) error {
 		if err != nil {
 			return err
 		}
-		wbatches, err := parseInts("write-batch bound", o.writeBatches)
-		if err != nil {
-			return err
-		}
 		procs, err := parseInts("procs", o.procs)
 		if err != nil {
 			return err
@@ -129,15 +124,14 @@ func runKVLoad(o kvOptions) error {
 			return err
 		}
 		sw := kvload.Sweep{
-			Designs:      designs,
-			Shards:       shards,
-			Batches:      batches,
-			Procs:        procs,
-			Dists:        dists,
-			CMs:          cms,
-			WriteBatches: wbatches,
-			WALBatches:   walBatches,
-			WALQueues:    walQueues,
+			Designs:    designs,
+			Shards:     shards,
+			Batches:    batches,
+			Procs:      procs,
+			Dists:      dists,
+			CMs:        cms,
+			WALBatches: walBatches,
+			WALQueues:  walQueues,
 		}
 		// The mix presets rewrite the operation fractions, so they sweep
 		// here as an outer loop over otherwise-identical grids.
@@ -252,7 +246,7 @@ func printKVTable(points []kvload.GridPoint, lo kvload.Options) {
 		ID: "kvload",
 		Title: fmt.Sprintf("kvload: %d conns, pipeline %d, %.0f%% GET / %.0f%% TRANSFER / %.0f%% INCR / rest SET",
 			lo.Conns, lo.Pipeline, 100*lo.ReadFrac, 100*lo.TransferFrac, 100*lo.IncrFrac),
-		Header: []string{"design", "shards", "dist", "mix", "cm", "batch", "wbatch", "wal", "walq", "procs", "ops", "ops/sec", "p50(us)", "p99(us)", "errs", "busy", "reconn", "commits", "rbatches", "fallbacks", "wbatches", "wfall", "fsyncs", "grp", "cmdefer", "ewma(ppm)"},
+		Header: []string{"design", "shards", "dist", "mix", "cm", "batch", "wal", "walq", "procs", "ops", "ops/sec", "p50(us)", "p99(us)", "errs", "busy", "reconn", "commits", "rbatches", "fallbacks", "wbatches", "wfall", "fsyncs", "grp", "cmdefer", "ewma(ppm)"},
 	}
 	for _, p := range points {
 		shards := "-"
@@ -300,7 +294,6 @@ func printKVTable(points []kvload.GridPoint, lo kvload.Options) {
 			mix,
 			cm,
 			batchLabel(p.MaxBatch),
-			batchLabel(p.MaxWriteBatch),
 			wal,
 			walq,
 			procs,
@@ -352,9 +345,6 @@ func writeKVBenchJSON(path string, points []kvload.GridPoint, lo kvload.Options,
 		}
 		if p.MaxBatch != 0 {
 			cell += "/batch" + batchLabel(p.MaxBatch)
-		}
-		if p.MaxWriteBatch != 0 {
-			cell += "/wbatch" + batchLabel(p.MaxWriteBatch)
 		}
 		if p.WALBatch > 0 {
 			cell += fmt.Sprintf("/wal%d", p.WALBatch)

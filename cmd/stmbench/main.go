@@ -59,8 +59,7 @@ func main() {
 		kvDist         = flag.String("kv-dist", "uniform", "key distributions to sweep: uniform, zipf:THETA, hot:FRAC (comma-separated)")
 		kvDuration     = flag.Duration("kv-duration", 5*time.Second, "measurement window per cell")
 		kvPipeline     = flag.Int("kv-pipeline", 1, "requests in flight per connection")
-		kvBatch        = flag.String("kv-batch", "0", "server read-batch bounds to sweep with -kvload self (0 = server default, -1 = off)")
-		kvWriteBatch   = flag.String("kv-write-batch", "0", "server write-batch bounds to sweep with -kvload self (0 = server default, -1 = off)")
+		kvBatch        = flag.String("kv-batch", "0", "server pipeline-window bounds to sweep with -kvload self (0 = server default, -1 = coalescing off)")
 		kvCM           = flag.String("kv-cm", "fixed", "contention-management policies to sweep with -kvload self (fixed, adaptive; comma-separated)")
 		kvProcs        = flag.String("kv-procs", "0", "GOMAXPROCS values to sweep with -kvload self (0 = leave the process default)")
 		kvWALBatch     = flag.String("kv-wal-batch", "-1", "WAL group-commit fsync batches to sweep with -kvload self (-1 = durability off; comma-separated)")
@@ -96,7 +95,6 @@ func main() {
 			duration:      *kvDuration,
 			pipeline:      *kvPipeline,
 			batches:       *kvBatch,
-			writeBatches:  *kvWriteBatch,
 			cms:           *kvCM,
 			procs:         *kvProcs,
 			walBatches:    *kvWALBatch,

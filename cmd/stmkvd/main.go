@@ -13,8 +13,7 @@
 //	stmkvd -cm adaptive                  # adaptive contention management
 //	stmkvd -serve-metrics :8080          # expose /metrics and /stats.json
 //	stmkvd -serve-metrics :8080 -pprof   # also expose /debug/pprof/
-//	stmkvd -max-batch 0                  # disable read-snapshot batching
-//	stmkvd -max-write-batch 0            # disable hot-key write batching
+//	stmkvd -max-batch 0                  # disable pipelined-command coalescing
 //	stmkvd -cmd-deadline 5ms -queue-timeout 1ms   # bounded commands + load shedding
 //	stmkvd -wal-dir /var/lib/stmkvd/wal  # durable: log commits, replay on boot
 //	stmkvd -wal-dir wal -wal-fsync-batch 64 -snapshot-every 30s   # tuned group commit
@@ -55,8 +54,7 @@ func main() {
 		design       = flag.String("design", "direct", "STM engine: direct, wstm, or ostm")
 		cmPolicy     = flag.String("cm", "fixed", "contention management policy: fixed or adaptive")
 		maxInflight  = flag.Int("max-inflight", 128, "max concurrently executing transactions (0 = default)")
-		maxBatch     = flag.Int("max-batch", server.DefaultMaxBatch, "max pipelined read-only commands coalesced into one snapshot transaction (0 = off)")
-		maxWBatch    = flag.Int("max-write-batch", server.DefaultMaxWriteBatch, "max pipelined same-shard SET/INCR commands coalesced into one write transaction (0 = off)")
+		maxBatch     = flag.Int("max-batch", server.DefaultMaxBatch, "max buffered pipelined commands collected into one coalescing window: read runs become one snapshot, same-shard SET/INCR runs one write transaction (0 = off)")
 		serveMetrics = flag.String("serve-metrics", "", "serve /metrics and /stats.json on this address (e.g. :8080)")
 		pprofFlag    = flag.Bool("pprof", false, "with -serve-metrics, also expose /debug/pprof/ profiling endpoints")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on shutdown")
@@ -122,19 +120,14 @@ func main() {
 	if batch <= 0 {
 		batch = -1 // flag 0 means off; Config 0 would mean the default
 	}
-	wbatch := *maxWBatch
-	if wbatch <= 0 {
-		wbatch = -1
-	}
 	srv := server.New(store, server.Config{
-		MaxInflight:   *maxInflight,
-		MaxBatch:      batch,
-		MaxWriteBatch: wbatch,
-		ErrorLog:      logger,
-		CmdDeadline:   *cmdDeadline,
-		QueueTimeout:  *queueTimeout,
-		ReadTimeout:   *readTimeout,
-		WriteTimeout:  *writeTimeout,
+		MaxInflight:  *maxInflight,
+		MaxBatch:     batch,
+		ErrorLog:     logger,
+		CmdDeadline:  *cmdDeadline,
+		QueueTimeout: *queueTimeout,
+		ReadTimeout:  *readTimeout,
+		WriteTimeout: *writeTimeout,
 	})
 
 	var injector *chaos.Injector

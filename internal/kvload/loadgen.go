@@ -59,15 +59,11 @@ type Options struct {
 	// Pipeline is the number of requests in flight per connection
 	// (default 1: strict request/response).
 	Pipeline int
-	// MaxBatch is the server-side read-batching bound for self-hosted
-	// cells: 0 keeps the server default, negative disables batching, and a
-	// positive value sets an explicit bound. It has no effect when driving
-	// a remote server, whose batching is fixed by its own flags.
+	// MaxBatch is the server-side pipeline-window bound for self-hosted
+	// cells: 0 keeps the server default, negative disables coalescing, and
+	// a positive value sets an explicit bound. It has no effect when
+	// driving a remote server, whose coalescing is fixed by its own flags.
 	MaxBatch int
-	// MaxWriteBatch is the server-side write-batching bound for
-	// self-hosted cells, in MaxBatch's encoding. It has no effect when
-	// driving a remote server.
-	MaxWriteBatch int
 	// CM selects the self-hosted server's contention-management policy
 	// (default fixed). It has no effect when driving a remote server.
 	CM memtx.CMPolicy
@@ -538,11 +534,9 @@ type GridPoint struct {
 	// Procs is the GOMAXPROCS the cell ran under; 0 means the process
 	// default was left alone.
 	Procs int
-	// MaxBatch is the server's read-batching bound for this cell, in
+	// MaxBatch is the server's pipeline-window bound for this cell, in
 	// Options.MaxBatch's encoding (0 = server default, negative = off).
 	MaxBatch int
-	// MaxWriteBatch is the server's write-batching bound, same encoding.
-	MaxWriteBatch int
 	// Dist labels the key distribution the cell ran under (Dist.String).
 	Dist string
 	// Mix labels the YCSB-style preset, if one was applied.
@@ -585,15 +579,14 @@ type GridPoint struct {
 // left nil or empty collapses to the corresponding Options field, so a
 // sweep names only the dimensions it varies.
 type Sweep struct {
-	Designs      []memtx.Design
-	Shards       []int
-	Batches      []int // read-batch bounds, Options.MaxBatch encoding
-	Procs        []int // GOMAXPROCS values; 0 leaves the default
-	Dists        []Dist
-	CMs          []memtx.CMPolicy
-	WriteBatches []int // write-batch bounds, Options.MaxWriteBatch encoding
-	WALBatches   []int // durability settings: -1 = no WAL, else fsync batch
-	WALQueues    []int // append-pipeline settings, Options.WALQueue encoding
+	Designs    []memtx.Design
+	Shards     []int
+	Batches    []int // pipeline-window bounds, Options.MaxBatch encoding
+	Procs      []int // GOMAXPROCS values; 0 leaves the default
+	Dists      []Dist
+	CMs        []memtx.CMPolicy
+	WALBatches []int // durability settings: -1 = no WAL, else fsync batch
+	WALQueues  []int // append-pipeline settings, Options.WALQueue encoding
 }
 
 // RunSelfGrid measures the load mix against in-process servers, one per
@@ -627,9 +620,6 @@ func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
 	if len(sw.CMs) == 0 {
 		sw.CMs = []memtx.CMPolicy{o.CM}
 	}
-	if len(sw.WriteBatches) == 0 {
-		sw.WriteBatches = []int{o.MaxWriteBatch}
-	}
 	if len(sw.WALBatches) == 0 {
 		wb := -1
 		if o.WALBatch > 0 {
@@ -647,36 +637,32 @@ func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
 				for _, np := range sw.Procs {
 					for _, dist := range sw.Dists {
 						for _, cm := range sw.CMs {
-							for _, wbatch := range sw.WriteBatches {
-								for _, wal := range sw.WALBatches {
-									for _, walq := range sw.WALQueues {
-										o.MaxBatch = batch
-										o.MaxWriteBatch = wbatch
-										o.Dist = dist
-										o.CM = cm
-										if wal > 0 {
-											o.WALBatch = wal
-										} else {
-											o.WALBatch = 0
-										}
-										o.WALQueue = walq
-										p, err := runSelfCell(d, shards, np, o)
-										if err != nil {
-											return nil, fmt.Errorf("kvload: design %v shards %d batch %d procs %d dist %v cm %v wbatch %d wal %d walq %d: %w",
-												d, shards, batch, np, dist, cm, wbatch, wal, walq, err)
-										}
-										p.Design = d.String()
-										p.Shards = shards
-										p.MaxBatch = batch
-										p.Procs = np
-										p.MaxWriteBatch = wbatch
-										p.Dist = dist.String()
-										p.Mix = o.Mix
-										p.CM = cm.String()
-										p.WALBatch = wal
-										p.WALQueue = walq
-										points = append(points, p)
+							for _, wal := range sw.WALBatches {
+								for _, walq := range sw.WALQueues {
+									o.MaxBatch = batch
+									o.Dist = dist
+									o.CM = cm
+									if wal > 0 {
+										o.WALBatch = wal
+									} else {
+										o.WALBatch = 0
 									}
+									o.WALQueue = walq
+									p, err := runSelfCell(d, shards, np, o)
+									if err != nil {
+										return nil, fmt.Errorf("kvload: design %v shards %d batch %d procs %d dist %v cm %v wal %d walq %d: %w",
+											d, shards, batch, np, dist, cm, wal, walq, err)
+									}
+									p.Design = d.String()
+									p.Shards = shards
+									p.MaxBatch = batch
+									p.Procs = np
+									p.Dist = dist.String()
+									p.Mix = o.Mix
+									p.CM = cm.String()
+									p.WALBatch = wal
+									p.WALQueue = walq
+									points = append(points, p)
 								}
 							}
 						}
@@ -714,11 +700,10 @@ func runSelfCell(d memtx.Design, shards, procs int, o Options) (GridPoint, error
 	}
 	defer store.Close()
 	srv := server.New(store, server.Config{
-		MaxBatch:      o.MaxBatch,
-		MaxWriteBatch: o.MaxWriteBatch,
-		MaxInflight:   o.MaxInflight,
-		CmdDeadline:   o.CmdDeadline,
-		QueueTimeout:  o.QueueTimeout,
+		MaxBatch:     o.MaxBatch,
+		MaxInflight:  o.MaxInflight,
+		CmdDeadline:  o.CmdDeadline,
+		QueueTimeout: o.QueueTimeout,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

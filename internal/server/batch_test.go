@@ -190,8 +190,8 @@ func TestBatchedReadsUnderWrites(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabled pins the opt-out: with MaxBatch < 0 every command
-// runs through the per-command path and the batch counters stay zero.
+// TestBatchingDisabled pins the opt-out: with MaxBatch < 0 every GET runs
+// through the per-command path and the read-batch counter stays zero.
 func TestBatchingDisabled(t *testing.T) {
 	store := kv.New(kv.Config{Shards: 2, Buckets: 16})
 	store.Set([]byte("k"), []byte("v"))

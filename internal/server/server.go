@@ -9,31 +9,26 @@
 // syscall counts low under pipelining without adding latency to lone
 // requests.
 //
-// Read-only commands (GET, MGET, PING) take a batched fast path: when a
-// pipelining client has left several of them sitting in the connection's
-// input buffer, up to Config.MaxBatch consecutive ones are coalesced into a
-// single read-only snapshot transaction — one begin/validate/commit covers
-// the whole batch instead of one per command. Responses are assembled
-// directly into per-connection scratch buffers (reused frame, body, and
-// output buffers plus a bound kv.Reader), so the steady-state read path does
-// not allocate. If the snapshot fails commit-time validation the batch's
-// partial output is discarded and every command re-runs through the
-// per-command path, so per-command semantics are unchanged. A write command
-// or malformed body ends the batch and executes after it, in arrival order,
-// preserving strict response ordering.
-//
-// Write commands get the mirror-image treatment: up to Config.MaxWriteBatch
-// consecutive buffered SET/INCR commands whose keys hash to the same shard
-// coalesce into a single shard-local write transaction — the shape a hot-key
-// pipelined increment burst takes under a skewed workload, where per-command
-// execution would pay one begin/acquire/commit per increment on the same
-// contended object. Strict in-order pipelining makes the coalescing
-// invisible: no other command from this connection can interleave with the
-// burst, so executing it as one atomic step produces byte-identical
-// responses. The transaction body rebuilds the batch's responses from
-// scratch on every attempt, and if the transaction fails outright (deadline,
-// injected panic) the batch's output is discarded and every command re-runs
-// through the per-command path, each succeeding or failing on its own.
+// Pipelined commands are coalesced one window at a time. After reading a
+// frame the connection collects every further frame already sitting in its
+// input buffer, up to Config.MaxBatch, without ever reading from the network
+// mid-window. Each command is parsed once and classified as a read (PING,
+// GET, MGET), a write (SET, or INCR with a valid delta, tagged with its key's
+// shard), or a single (everything else, including wrong arity and malformed
+// bodies). The window then runs in arrival order as maximal runs: a read run
+// of any length is one read-only snapshot transaction (a PING-only run skips
+// the store), a same-shard write run of two or more — capped at 16, the shape
+// a hot-key increment burst takes under a skewed workload — is one
+// shard-local write transaction, and everything else runs per command. One
+// begin/validate/commit thus covers a whole run instead of one per command.
+// Strict in-order pipelining makes this invisible: no other command from the
+// connection can interleave with a run, and if a run's transaction fails
+// (validation, deadline, an injected panic, an INCR over a non-integer) its
+// partial output is discarded and every command in it re-runs through the
+// per-command path, each succeeding or failing on its own. Responses are
+// assembled directly into per-connection scratch buffers (reused frame, body,
+// and output buffers plus a bound kv.Reader), so the steady-state read path
+// does not allocate.
 //
 // Commands that run transactions pass through a semaphore bounding the
 // number of in-flight store transactions across all connections
@@ -53,7 +48,7 @@
 //   - Command deadlines: with Config.CmdDeadline set, each command's
 //     transactional execution is bounded; a command that exhausts its
 //     deadline (e.g. stuck behind a contended object) gets an ERR response
-//     instead of holding its connection forever. The batched read path is a
+//     instead of holding its connection forever. A coalesced read run is a
 //     single optimistic attempt by construction and is not affected.
 //   - Slow clients: Config.ReadTimeout bounds how long a client may sit
 //     mid-frame (idle connections are never evicted); Config.WriteTimeout
@@ -126,18 +121,12 @@ var cmdNames = [NumCmds]string{
 // String returns the label used in metric export.
 func (c Cmd) String() string { return cmdNames[c] }
 
-// DefaultMaxBatch is the read-batching bound used when Config.MaxBatch is 0.
-// A batch's read set grows with its size, and a larger read set is both more
-// likely to overlap a concurrent write and more expensive to re-run on
-// fallback, so the default stays well below what a 32 KiB input buffer could
-// physically hold.
+// DefaultMaxBatch is the pipeline-window bound used when Config.MaxBatch is
+// 0. A read run's read set grows with its size, and a larger read set is
+// both more likely to overlap a concurrent write and more expensive to re-run
+// on fallback, so the default stays well below what a 32 KiB input buffer
+// could physically hold.
 const DefaultMaxBatch = 64
-
-// DefaultMaxWriteBatch is the write-batching bound used when
-// Config.MaxWriteBatch is 0. A write batch holds object ownership for the
-// whole burst and its write set is re-executed wholesale on conflict, so the
-// default stays well below the read-batch bound.
-const DefaultMaxWriteBatch = 16
 
 // Config tunes a Server; the zero value is usable.
 type Config struct {
@@ -147,23 +136,18 @@ type Config struct {
 	// MaxFrame bounds accepted request frame bodies (default
 	// wire.DefaultMaxFrame).
 	MaxFrame int
-	// MaxBatch bounds how many consecutive buffered read-only commands
-	// (GET/MGET/PING) are coalesced into one read-only snapshot
-	// transaction. 0 selects DefaultMaxBatch; negative values disable
-	// batching and route every command through the per-command path.
+	// MaxBatch bounds how many buffered pipelined commands one window
+	// collects for coalescing. 0 selects DefaultMaxBatch; negative values
+	// disable coalescing and route every command through the per-command
+	// path.
 	MaxBatch int
-	// MaxWriteBatch bounds how many consecutive buffered same-shard write
-	// commands (SET/INCR) are coalesced into one shard-local write
-	// transaction. 0 selects DefaultMaxWriteBatch; negative values disable
-	// write batching.
-	MaxWriteBatch int
 	// ErrorLog receives accept and per-connection I/O errors (default: the
 	// log package's standard logger).
 	ErrorLog *log.Logger
 	// CmdDeadline bounds each command's transactional execution; past it the
-	// transaction is abandoned and the client gets an ERR response. The
-	// batched read path is a single optimistic attempt by construction, so
-	// only the per-command path is bounded. 0 disables.
+	// transaction is abandoned and the client gets an ERR response. A
+	// coalesced read run is a single optimistic attempt by construction, so
+	// it is not bounded. 0 disables.
 	CmdDeadline time.Duration
 	// QueueTimeout bounds how long a command waits for an in-flight
 	// transaction slot before it is shed with a retriable BUSY response.
@@ -184,16 +168,15 @@ var ErrServerClosed = errors.New("server: closed")
 // Server serves the stmkvd protocol over TCP. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown.
 type Server struct {
-	store         *kv.Store
-	maxFrame      int
-	maxBatch      int // 0 = read batching disabled
-	maxWriteBatch int // 0 = write batching disabled
-	errorLog      *log.Logger
-	sem           chan struct{}
-	cmdDeadline   time.Duration
-	queueTimeout  time.Duration
-	readTimeout   time.Duration
-	writeTimeout  time.Duration
+	store        *kv.Store
+	maxFrame     int
+	maxBatch     int // 0 = coalescing disabled
+	errorLog     *log.Logger
+	sem          chan struct{}
+	cmdDeadline  time.Duration
+	queueTimeout time.Duration
+	readTimeout  time.Duration
+	writeTimeout time.Duration
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -235,29 +218,22 @@ func New(store *kv.Store, cfg Config) *Server {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.MaxBatch < 0 {
-		cfg.MaxBatch = 0 // read batching off
-	}
-	if cfg.MaxWriteBatch == 0 {
-		cfg.MaxWriteBatch = DefaultMaxWriteBatch
-	}
-	if cfg.MaxWriteBatch < 0 {
-		cfg.MaxWriteBatch = 0 // write batching off
+		cfg.MaxBatch = 0 // coalescing off
 	}
 	if cfg.ErrorLog == nil {
 		cfg.ErrorLog = log.Default()
 	}
 	return &Server{
-		store:         store,
-		maxFrame:      cfg.MaxFrame,
-		maxBatch:      cfg.MaxBatch,
-		maxWriteBatch: cfg.MaxWriteBatch,
-		errorLog:      cfg.ErrorLog,
-		sem:           make(chan struct{}, cfg.MaxInflight),
-		cmdDeadline:   max(cfg.CmdDeadline, 0),
-		queueTimeout:  cfg.QueueTimeout,
-		readTimeout:   cfg.ReadTimeout,
-		writeTimeout:  cfg.WriteTimeout,
-		conns:         map[net.Conn]struct{}{},
+		store:        store,
+		maxFrame:     cfg.MaxFrame,
+		maxBatch:     cfg.MaxBatch,
+		errorLog:     cfg.ErrorLog,
+		sem:          make(chan struct{}, cfg.MaxInflight),
+		cmdDeadline:  max(cfg.CmdDeadline, 0),
+		queueTimeout: cfg.QueueTimeout,
+		readTimeout:  cfg.ReadTimeout,
+		writeTimeout: cfg.WriteTimeout,
+		conns:        map[net.Conn]struct{}{},
 	}
 }
 
@@ -444,44 +420,41 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// batchEntry is one parsed command held during batch collection. Its frame
-// buffer and Args backing array are reused across batches, so steady-state
+// batchEntry is one parsed command held in the pipeline window. Its frame
+// buffer and Args backing array are reused across windows, so steady-state
 // collection reads and parses without allocating.
 type batchEntry struct {
 	frame []byte
 	cmd   wire.Command
+	err   error // parse error, answered with ERR
 	id    Cmd
-	delta int64 // parsed INCR delta (write batches only)
+	kind  runKind
+	shard int   // key's shard (writes only)
+	delta int64 // parsed INCR delta (writes only)
 }
 
 // conn is one connection's reusable execution state: response scratch
-// buffers, parsed-command slots for batch collection, and a snapshot reader
-// bound once so repeated batches run without allocating.
+// buffers, the pipeline window's parsed-command slots, and snapshot and
+// write bodies bound once so repeated runs execute without allocating.
 type conn struct {
-	out      []byte       // response frames accumulated this iteration
+	out      []byte       // response frames accumulated this window
 	body     []byte       // response body scratch
-	batch    []batchEntry // command slots; len == max(1, maxBatch, maxWriteBatch)
-	n        int          // commands collected into the current batch
-	wmark    int          // c.out length at write-batch start (attempt reset point)
+	batch    []batchEntry // window slots; len == max(1, maxBatch)
+	n        int          // commands collected into the current window
+	lo, hi   int          // the run executing: c.batch[lo:hi]
+	mark     int          // c.out length at run start (attempt reset point)
 	keys     [][]byte     // multi-key command scratch (shard routing)
 	reader   *kv.Reader
-	wbody    func(t *kv.Tx) error // bound writeBatchBody, reused across batches
+	wbody    func(t *kv.Tx) error // bound writeBody, reused across runs
 	slotHeld bool                 // this connection holds a transaction slot
 	qt       *time.Timer          // queue-timeout timer, reused across sheds
 	sb       *kv.SyncBatch        // deferred WAL syncs (nil without durability)
 }
 
 func (s *Server) newConn() *conn {
-	slots := s.maxBatch
-	if s.maxWriteBatch > slots {
-		slots = s.maxWriteBatch
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	c := &conn{batch: make([]batchEntry, slots)}
+	c := &conn{batch: make([]batchEntry, max(s.maxBatch, 1))}
 	c.reader = s.store.NewReader(c.snapshotBody)
-	c.wbody = c.writeBatchBody
+	c.wbody = c.writeBody
 	c.sb = s.store.NewSyncBatch()
 	return c
 }
@@ -563,28 +536,13 @@ func (s *Server) serveConn(nc net.Conn) {
 			return // injected connection kill after a read
 		}
 		e.frame = frame
-		fatal := false
-		if perr := wire.ParseCommandInto(e.frame, &e.cmd); perr != nil {
-			// The frame was well-formed, so the connection is still usable.
+		frameErr := s.collect(c, br)
+		s.runWindow(c)
+		if frameErr != nil {
+			// Framing is lost after the collected commands: answer it after
+			// them, then close.
 			s.protoErrors.Add(1)
-			c.out = wire.AppendFrame(c.out, c.errBody(perr))
-		} else {
-			e.id = classify(e.cmd.Name)
-			// A command that ends one batch may begin a batch of the other
-			// kind (a write after a read burst, a read after a write burst):
-			// the collectors hand it back in slot 0 and dispatch repeats.
-			for handoff := true; handoff; {
-				handoff = false
-				if s.maxBatch > 0 && batchable(e) {
-					fatal, handoff = s.collectAndRunBatch(c, br)
-				} else if s.maxWriteBatch > 1 && writeBatchable(e) {
-					fatal, handoff = s.collectAndRunWriteBatch(c, br)
-				} else {
-					resp := s.execute(c, &e.cmd, e.id)
-					s.cmds[e.id].Add(1)
-					c.out = wire.AppendFrame(c.out, resp)
-				}
-			}
+			c.out = wire.AppendFrame(c.out, c.errBody(frameErr))
 		}
 		if connChaos(chaos.RespWrite) {
 			return // injected connection kill before a write
@@ -604,7 +562,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			s.writeErr(nc, err)
 			return
 		}
-		if fatal {
+		if frameErr != nil {
 			break
 		}
 		// Flush only when no further pipelined request is already buffered.
@@ -673,127 +631,211 @@ func (s *Server) writeErr(nc net.Conn, err error) {
 	}
 }
 
-// collectAndRunBatch gathers further batchable commands already sitting in
-// br's buffer into c.batch (slot 0 is parsed), executes the batch, then
-// answers whatever ended collection: a command that can start a write batch
-// is swapped into slot 0 and handed back to the dispatcher (handoff true),
-// any other command runs through the per-command path, a malformed body gets
-// its ERR — always after the batch, preserving arrival order. It never reads
-// from the network: FrameBuffered only admits frames that are fully
-// buffered. fatal reports that framing was lost and the connection must
-// close.
-func (s *Server) collectAndRunBatch(c *conn, br *bufio.Reader) (fatal, handoff bool) {
+// runKind is how the coalescer executes a collected command.
+type runKind uint8
+
+const (
+	// kindSingle runs through the per-command path: a command that is not
+	// coalescable, a wrong-arity spelling, or a body that failed to parse.
+	kindSingle runKind = iota
+	// kindRead is a valid-arity PING, GET, or MGET.
+	kindRead
+	// kindWrite is a valid-arity SET, or an INCR whose delta parsed.
+	kindWrite
+)
+
+// collect parses slot 0 (already read) and then pulls every further frame
+// already sitting in br's buffer, up to the window size, into c.batch. It
+// never reads from the network: FrameBuffered only admits frames that are
+// fully buffered. A framing error ends the window and is returned; the
+// commands collected before it still run.
+func (s *Server) collect(c *conn, br *bufio.Reader) (frameErr error) {
+	s.parse(&c.batch[0])
 	c.n = 1
-	var pending *batchEntry // trailing non-batchable command
-	var pendErr error       // trailing parse error
-	var frameErr error      // framing error: connection closes after the batch
-	for c.n < s.maxBatch && wire.FrameBuffered(br) {
+	for c.n < len(c.batch) && wire.FrameBuffered(br) {
 		e := &c.batch[c.n]
 		frame, err := wire.ReadFrameInto(br, s.maxFrame, e.frame)
 		if err != nil {
-			frameErr = err
-			break
+			return err
 		}
 		e.frame = frame
-		if err := wire.ParseCommandInto(e.frame, &e.cmd); err != nil {
-			pendErr = err
-			break
-		}
-		e.id = classify(e.cmd.Name)
-		if !batchable(e) {
-			pending = e
-			break
-		}
+		s.parse(e)
 		c.n++
 	}
-	pendIdx := c.n
-	s.execBatch(c)
-	switch {
-	case pending != nil:
-		if s.maxWriteBatch > 1 && writeBatchable(pending) {
-			c.batch[0], c.batch[pendIdx] = c.batch[pendIdx], c.batch[0]
-			return false, true
-		}
-		resp := s.execute(c, &pending.cmd, pending.id)
-		s.cmds[pending.id].Add(1)
-		c.out = wire.AppendFrame(c.out, resp)
-	case pendErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(pendErr))
-	case frameErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(frameErr))
-		return true, false
-	}
-	return false, false
+	return nil
 }
 
-// execBatch answers c.batch[:c.n] — all read-only commands — appending one
-// response frame per command to c.out. GET and MGET entries execute inside
-// one read-only snapshot transaction; if its commit-time validation fails
-// the batch's partial output is discarded and every command re-runs through
-// the per-command path. A batch of only PINGs skips the store entirely.
-func (s *Server) execBatch(c *conn) {
-	n := c.n
-	s.batches.Add(1)
-	s.batchedCmds.Add(uint64(n))
-	needsTxn := false
-	for i := 0; i < n; i++ {
-		if c.batch[i].id != CmdPing {
-			needsTxn = true
-			break
-		}
+// parse parses e's frame once and classifies it into a run kind, stashing an
+// INCR's delta and a write's shard for the executor. With coalescing off
+// every command is a single.
+func (s *Server) parse(e *batchEntry) {
+	e.kind = kindSingle
+	if e.err = wire.ParseCommandInto(e.frame, &e.cmd); e.err != nil {
+		return
 	}
-	if !needsTxn {
-		for i := 0; i < n; i++ {
-			c.out = wire.AppendFrame(c.out, bodyPong)
+	e.id = classify(e.cmd.Name)
+	if s.maxBatch == 0 {
+		return
+	}
+	args := e.cmd.Args
+	switch e.id {
+	case CmdPing:
+		if len(args) == 0 {
+			e.kind = kindRead
 		}
-	} else if !s.acquire(c) {
-		// Shed: every command in the batch gets a retriable BUSY; none ran.
-		for i := 0; i < n; i++ {
-			c.out = wire.AppendFrame(c.out, bodyBusy)
+	case CmdGet:
+		if len(args) == 1 {
+			e.kind = kindRead
 		}
-	} else {
-		mark := len(c.out)
-		committed := s.runBatchSnapshot(c)
-		s.release(c)
-		if !committed {
-			s.batchFallbacks.Add(1)
-			c.out = c.out[:mark]
-			for i := 0; i < n; i++ {
-				e := &c.batch[i]
-				c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
+	case CmdMGet:
+		if len(args) >= 1 {
+			e.kind = kindRead
+		}
+	case CmdSet:
+		if len(args) == 2 {
+			e.kind = kindWrite
+		}
+	case CmdIncr:
+		if len(args) == 2 {
+			if d, err := kv.ParseInt(args[1].B); err == nil {
+				e.delta = d
+				e.kind = kindWrite
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		s.cmds[c.batch[i].id].Add(1)
+	if e.kind == kindWrite {
+		e.shard = s.store.KeyShard(args[0].B)
+	}
+}
+
+// maxWriteRun caps a coalesced write run. A write run holds object ownership
+// for the whole run and is re-executed wholesale on conflict, so the cap
+// stays well below the window size.
+const maxWriteRun = 16
+
+// runWindow answers c.batch[:c.n] in arrival order, one maximal run at a
+// time: a read run of any length is one snapshot, a same-shard write run of
+// two or more (capped at maxWriteRun) is one write transaction, and
+// everything else runs per command.
+func (s *Server) runWindow(c *conn) {
+	for i := 0; i < c.n; {
+		e := &c.batch[i]
+		j := i + 1
+		for j < c.n && joins(e, &c.batch[j], j-i) {
+			j++
+		}
+		switch {
+		case e.err != nil:
+			s.protoErrors.Add(1)
+			c.out = wire.AppendFrame(c.out, c.errBody(e.err))
+		case e.kind == kindRead || j-i > 1:
+			s.runBatch(c, i, j)
+		default:
+			c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
+			s.cmds[e.id].Add(1)
+		}
+		i = j
 	}
 	c.n = 0
 }
 
-// runBatchSnapshot runs the batch's snapshot attempt with panic
-// containment: a panic inside the snapshot (chaos-injected or real)
-// releases the transaction slot and reports not-committed, so the batch
-// falls back to per-command execution like a validation failure would.
-func (s *Server) runBatchSnapshot(c *conn) (committed bool) {
+// joins reports whether next extends the run that head starts, which is n
+// commands long so far.
+func joins(head, next *batchEntry, n int) bool {
+	switch head.kind {
+	case kindRead:
+		return next.kind == kindRead
+	case kindWrite:
+		return n < maxWriteRun && next.kind == kindWrite && next.shard == head.shard
+	}
+	return false
+}
+
+// runBatch answers the run c.batch[lo:hi] — all reads or all same-shard
+// writes — as one transaction. A shed run answers BUSY for every command,
+// none of which ran. If the transaction fails (validation, deadline, a
+// non-integer INCR target, a panic) the run's partial output is discarded
+// and every command re-runs through the per-command path, each succeeding or
+// failing on its own, so coalescing never changes a response.
+func (s *Server) runBatch(c *conn, lo, hi int) {
+	c.lo, c.hi, c.mark = lo, hi, len(c.out)
+	write := c.batch[lo].kind == kindWrite
+	batches, cmds, fallbacks := &s.batches, &s.batchedCmds, &s.batchFallbacks
+	if write {
+		batches, cmds, fallbacks = &s.writeBatches, &s.writeBatchedCmds, &s.writeBatchFallbacks
+	}
+	batches.Add(1)
+	cmds.Add(uint64(hi - lo))
+	if err := s.batchTxn(c, write); errors.Is(err, errShed) {
+		for i := lo; i < hi; i++ {
+			c.out = wire.AppendFrame(c.out, bodyBusy)
+		}
+	} else if err != nil {
+		fallbacks.Add(1)
+		c.out = c.out[:c.mark]
+		for i := lo; i < hi; i++ {
+			e := &c.batch[i]
+			c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
+		}
+	}
+	for i := lo; i < hi; i++ {
+		s.cmds[c.batch[i].id].Add(1)
+	}
+}
+
+// errSnapshot reports a read run whose snapshot did not commit.
+var errSnapshot = errors.New("server: read snapshot did not commit")
+
+// batchTxn runs the current run's transaction with panic containment: a
+// panic inside it (chaos-injected or real) releases the transaction slot, is
+// counted, and reports an error so the run falls back to per-command
+// execution, where each command gets its own containment. A read run is a
+// single optimistic snapshot attempt; a PING-only run skips the store.
+func (s *Server) batchTxn(c *conn, write bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.release(c)
 			s.panics.Add(1)
-			committed = false
+			err = fmt.Errorf("server: batch panic: %v", r)
 		}
 	}()
-	committed, _ = c.reader.RunOnce()
-	return committed
+	if write {
+		c.keys = append(c.keys[:0], c.batch[c.lo].cmd.Args[0].B)
+		return s.tx(c, c.keys, false, c.wbody)
+	}
+	if c.pingsOnly() {
+		for i := c.lo; i < c.hi; i++ {
+			c.out = wire.AppendFrame(c.out, bodyPong)
+		}
+		return nil
+	}
+	if !s.acquire(c) {
+		return errShed
+	}
+	committed, _ := c.reader.RunOnce()
+	s.release(c)
+	if !committed {
+		return errSnapshot
+	}
+	return nil
 }
 
-// snapshotBody answers the collected batch against one read-only snapshot,
+// pingsOnly reports whether the current run holds nothing but PINGs.
+func (c *conn) pingsOnly() bool {
+	for i := c.lo; i < c.hi; i++ {
+		if c.batch[i].id != CmdPing {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshotBody answers the current read run against one read-only snapshot,
 // appending response frames to c.out. The snapshot may be doomed when this
 // runs — RunOnce discards the output on validation failure — but it can
 // never tear a value: published byte records are immutable.
 func (c *conn) snapshotBody(t *kv.Tx) error {
-	for i := 0; i < c.n; i++ {
+	for i := c.lo; i < c.hi; i++ {
 		e := &c.batch[i]
 		switch e.id {
 		case CmdPing:
@@ -822,167 +864,16 @@ func (c *conn) snapshotBody(t *kv.Tx) error {
 	return nil
 }
 
-// batchable reports whether e may join a read-only snapshot batch: a
-// read-only command with valid arity. Wrong-arity spellings go through the
-// per-command path for their ERR.
-func batchable(e *batchEntry) bool {
-	switch e.id {
-	case CmdPing:
-		return len(e.cmd.Args) == 0
-	case CmdGet:
-		return len(e.cmd.Args) == 1
-	case CmdMGet:
-		return len(e.cmd.Args) >= 1
-	}
-	return false
-}
-
-// writeBatchable reports whether e may join a shard-local write batch: a
-// single-key unconditional write with valid arity and, for INCR, a parseable
-// delta (stashed in e.delta). Everything else — including a malformed delta,
-// which earns its ERR without touching the store — goes through the
-// per-command path.
-func writeBatchable(e *batchEntry) bool {
-	switch e.id {
-	case CmdSet:
-		return len(e.cmd.Args) == 2
-	case CmdIncr:
-		if len(e.cmd.Args) != 2 {
-			return false
-		}
-		d, err := kv.ParseInt(e.cmd.Args[1].B)
-		if err != nil {
-			return false
-		}
-		e.delta = d
-		return true
-	}
-	return false
-}
-
-// collectAndRunWriteBatch is collectAndRunBatch's write-side twin: it
-// gathers further write commands already sitting in br's buffer whose keys
-// hash to slot 0's shard, executes the batch as one shard-local write
-// transaction, then answers whatever ended collection after the batch,
-// preserving arrival order. A trailing command that can itself start a batch
-// — a read, or a write on a different shard — is handed back to the
-// dispatcher in slot 0. Like the read path it never reads from the network,
-// so collection cannot block mid-batch.
-func (s *Server) collectAndRunWriteBatch(c *conn, br *bufio.Reader) (fatal, handoff bool) {
-	c.n = 1
-	shard := s.store.KeyShard(c.batch[0].cmd.Args[0].B)
-	var pending *batchEntry // trailing non-batchable or cross-shard command
-	var pendErr error       // trailing parse error
-	var frameErr error      // framing error: connection closes after the batch
-	for c.n < s.maxWriteBatch && wire.FrameBuffered(br) {
-		e := &c.batch[c.n]
-		frame, err := wire.ReadFrameInto(br, s.maxFrame, e.frame)
-		if err != nil {
-			frameErr = err
-			break
-		}
-		e.frame = frame
-		if err := wire.ParseCommandInto(e.frame, &e.cmd); err != nil {
-			pendErr = err
-			break
-		}
-		e.id = classify(e.cmd.Name)
-		if !writeBatchable(e) || s.store.KeyShard(e.cmd.Args[0].B) != shard {
-			pending = e
-			break
-		}
-		c.n++
-	}
-	pendIdx := c.n
-	s.execWriteBatch(c)
-	switch {
-	case pending != nil:
-		if (s.maxBatch > 0 && batchable(pending)) || writeBatchable(pending) {
-			c.batch[0], c.batch[pendIdx] = c.batch[pendIdx], c.batch[0]
-			return false, true
-		}
-		resp := s.execute(c, &pending.cmd, pending.id)
-		s.cmds[pending.id].Add(1)
-		c.out = wire.AppendFrame(c.out, resp)
-	case pendErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(pendErr))
-	case frameErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(frameErr))
-		return true, false
-	}
-	return false, false
-}
-
-// execWriteBatch answers c.batch[:c.n] — consecutive same-shard SET/INCR
-// commands — appending one response frame per command to c.out. Two or more
-// commands run inside one shard-local write transaction, so a pipelined
-// hot-key burst pays one begin/acquire/commit instead of one per command. If
-// the transaction fails (deadline, panic) the batch's partial output is
-// discarded and every command re-runs through the per-command path, each
-// succeeding or failing on its own. A lone write skips the batch machinery.
-func (s *Server) execWriteBatch(c *conn) {
-	n := c.n
-	if n == 1 {
-		c.n = 0
-		e := &c.batch[0]
-		resp := s.execute(c, &e.cmd, e.id)
-		s.cmds[e.id].Add(1)
-		c.out = wire.AppendFrame(c.out, resp)
-		return
-	}
-	s.writeBatches.Add(1)
-	s.writeBatchedCmds.Add(uint64(n))
-	if !s.acquire(c) {
-		// Shed: every command in the batch gets a retriable BUSY; none ran.
-		for i := 0; i < n; i++ {
-			c.out = wire.AppendFrame(c.out, bodyBusy)
-		}
-	} else {
-		c.wmark = len(c.out)
-		err := s.runWriteBatchTxn(c)
-		s.release(c)
-		if err != nil {
-			s.writeBatchFallbacks.Add(1)
-			c.out = c.out[:c.wmark]
-			for i := 0; i < n; i++ {
-				e := &c.batch[i]
-				c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		s.cmds[c.batch[i].id].Add(1)
-	}
-	c.n = 0
-}
-
-// runWriteBatchTxn runs the batch's transaction with panic containment: a
-// panic inside the body (chaos-injected or real) releases the transaction
-// slot, is counted, and reports an error so the batch falls back to
-// per-command execution — where each command gets its own containment.
-func (s *Server) runWriteBatchTxn(c *conn) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.release(c)
-			s.panics.Add(1)
-			err = fmt.Errorf("server: write batch panic: %v", r)
-		}
-	}()
-	return s.runTx(c, [][]byte{c.batch[0].cmd.Args[0].B}, false, c.wbody)
-}
-
-// writeBatchBody applies the collected batch inside one write transaction,
-// appending response frames to c.out. The body may re-run on conflict, so it
-// truncates c.out back to the batch's start each attempt — output from a
-// doomed attempt is never visible to the client. An INCR over a non-integer
-// value aborts the whole transaction; the fallback then re-runs each command
-// alone, so the SETs land and the INCR earns its ERR exactly as an unbatched
-// pipeline would.
-func (c *conn) writeBatchBody(t *kv.Tx) error {
-	c.out = c.out[:c.wmark]
-	for i := 0; i < c.n; i++ {
+// writeBody applies the current write run inside one transaction, appending
+// response frames to c.out. The body may re-run on conflict, so it truncates
+// c.out back to the run's start each attempt — output from a doomed attempt
+// is never visible to the client. An INCR over a non-integer value aborts the
+// whole transaction; the fallback then re-runs each command alone, so the
+// SETs land and the INCR earns its ERR exactly as an uncoalesced pipeline
+// would.
+func (c *conn) writeBody(t *kv.Tx) error {
+	c.out = c.out[:c.mark]
+	for i := c.lo; i < c.hi; i++ {
 		e := &c.batch[i]
 		switch e.id {
 		case CmdSet:
@@ -1122,22 +1013,37 @@ func (s *Server) release(c *conn) {
 	<-s.sem
 }
 
-// runTx runs body as one transaction over the shards keys hash to: locally
-// when they co-locate, through the cross-shard commit path otherwise, bounded
-// by CmdDeadline when one is configured. On a durable store a write's fsync
-// wait is deferred into c's SyncBatch — serveConn syncs before any response
-// reaches the wire, so pipelined writes in one window share one group-commit
-// wait per shard instead of parking per command.
-func (s *Server) runTx(c *conn, keys [][]byte, readonly bool, body func(t *kv.Tx) error) error {
+// errShed reports a command shed after waiting QueueTimeout for a
+// transaction slot; it is answered with BUSY.
+var errShed = errors.New("server: shed")
+
+// tx runs body as one transaction over the shards keys hash to, holding an
+// in-flight transaction slot: locally when they co-locate, through the
+// cross-shard commit path otherwise, bounded by CmdDeadline when one is
+// configured. It returns errShed, without running body, when no slot frees
+// up in time. On a durable store a write's fsync wait is deferred into c's
+// SyncBatch — serveConn syncs before any response reaches the wire, so
+// pipelined writes in one window share one group-commit wait per shard
+// instead of parking per command.
+func (s *Server) tx(c *conn, keys [][]byte, readonly bool, body func(t *kv.Tx) error) error {
+	if !s.acquire(c) {
+		return errShed
+	}
 	r := kv.Req{Keys: keys, ReadOnly: readonly, Opts: memtx.TxOptions{MaxElapsed: s.cmdDeadline}, Sync: c.sb}
-	return s.store.Run(nil, r, body)
+	err := s.store.Run(nil, r, body)
+	s.release(c)
+	return err
 }
 
 // cmdErr renders a command error, counting deadline/budget exhaustion on
-// the way through. Disk-health refusals from the store become the typed
-// retriable bodies DISKFULL and READONLY instead of generic ERR, so clients
-// can tell "back off and retry later" from a programming error.
+// the way through. A shed command gets BUSY, and disk-health refusals from
+// the store become the typed retriable bodies DISKFULL and READONLY instead
+// of generic ERR, so clients can tell "back off and retry later" from a
+// programming error.
 func (s *Server) cmdErr(c *conn, err error) []byte {
+	if errors.Is(err, errShed) {
+		return bodyBusy
+	}
 	if errors.Is(err, kv.ErrDiskFull) {
 		s.diskFull.Add(1)
 		return bodyDiskFull
@@ -1153,12 +1059,12 @@ func (s *Server) cmdErr(c *conn, err error) []byte {
 	return c.errBody(err)
 }
 
-// execute runs one command through the per-command path — the only path for
-// writes, and the fallback for reads whose batch failed validation. It
-// contains handler panics: the transaction slot is released, the panic
-// counted, and the client answered with ERR on a still-usable connection.
-// The returned body may be backed by c's scratch and is valid only until
-// c's next use.
+// execute runs one command through the per-command path — the path for
+// every command the coalescer does not batch, and the fallback for a run
+// whose transaction failed. It contains handler panics: the transaction slot
+// is released, the panic counted, and the client answered with ERR on a
+// still-usable connection. The returned body may be backed by c's scratch
+// and is valid only until c's next use.
 func (s *Server) execute(c *conn, cmd *wire.Command, id Cmd) (resp []byte) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1186,17 +1092,12 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if len(args) != 1 {
 			return c.errBody(errArity)
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
 		var v []byte
 		var ok bool
-		err := s.runTx(c, [][]byte{args[0].B}, true, func(t *kv.Tx) error {
+		if err := s.tx(c, [][]byte{args[0].B}, true, func(t *kv.Tx) error {
 			v, ok = t.Get(args[0].B)
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
 		if !ok {
@@ -1209,15 +1110,10 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if len(args) != 2 {
 			return c.errBody(errArity)
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		err := s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
+		if err := s.tx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			t.Set(args[0].B, args[1].B)
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
 		return bodyOK
@@ -1226,43 +1122,27 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if len(args) != 1 {
 			return c.errBody(errArity)
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
 		removed := false
-		err := s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
+		if err := s.tx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			removed = t.Delete(args[0].B)
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
-		if removed {
-			return bodyInt1
-		}
-		return bodyInt0
+		return boolBody(removed)
 
 	case CmdCAS:
 		if len(args) != 3 {
 			return c.errBody(errArity)
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
 		swapped := false
-		err := s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
+		if err := s.tx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			swapped = t.CompareAndSet(args[0].B, args[1].B, args[2].B)
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
-		if swapped {
-			return bodyInt1
-		}
-		return bodyInt0
+		return boolBody(swapped)
 
 	case CmdIncr:
 		if len(args) != 2 {
@@ -1272,17 +1152,12 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if err != nil {
 			return c.errBody(err)
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
 		var after int64
-		err = s.runTx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
+		if err := s.tx(c, [][]byte{args[0].B}, false, func(t *kv.Tx) error {
 			var err error
 			after, err = t.Add(args[0].B, delta)
 			return err
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
 		return c.intBody(after)
@@ -1298,12 +1173,9 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if amount < 0 {
 			return c.errBody(errors.New("server: negative transfer amount"))
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
 		ok := false
 		c.keys = append(c.keys[:0], args[0].B, args[1].B)
-		err = s.runTx(c, c.keys, false, func(t *kv.Tx) error {
+		if err := s.tx(c, c.keys, false, func(t *kv.Tx) error {
 			ok = false
 			src, err := t.Int(args[0].B)
 			if err != nil {
@@ -1320,29 +1192,21 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 			t.SetInt(args[1].B, dst+amount)
 			ok = true
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
-		if ok {
-			return bodyInt1
-		}
-		return bodyInt0
+		return boolBody(ok)
 
 	case CmdMGet:
 		if len(args) == 0 {
 			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
 		}
 		vals := make([]wire.Arg, len(args))
 		c.keys = c.keys[:0]
 		for _, a := range args {
 			c.keys = append(c.keys, a.B)
 		}
-		err := s.runTx(c, c.keys, true, func(t *kv.Tx) error {
+		if err := s.tx(c, c.keys, true, func(t *kv.Tx) error {
 			for i, a := range args {
 				if v, ok := t.Get(a.B); ok {
 					vals[i] = wire.Blob(v)
@@ -1351,9 +1215,7 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 				}
 			}
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
 		c.body = wire.AppendCommand(c.body[:0], "VALS", vals...)
@@ -1363,21 +1225,16 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 		if len(args) == 0 || len(args)%2 != 0 {
 			return c.errBody(errArity)
 		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
 		c.keys = c.keys[:0]
 		for i := 0; i < len(args); i += 2 {
 			c.keys = append(c.keys, args[i].B)
 		}
-		err := s.runTx(c, c.keys, false, func(t *kv.Tx) error {
+		if err := s.tx(c, c.keys, false, func(t *kv.Tx) error {
 			for i := 0; i < len(args); i += 2 {
 				t.Set(args[i].B, args[i+1].B)
 			}
 			return nil
-		})
-		s.release(c)
-		if err != nil {
+		}); err != nil {
 			return s.cmdErr(c, err)
 		}
 		return bodyOK
@@ -1385,4 +1242,12 @@ func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
 	default:
 		return c.errBody(errors.New("server: unknown command " + cmd.Name))
 	}
+}
+
+// boolBody renders a protocol boolean.
+func boolBody(b bool) []byte {
+	if b {
+		return bodyInt1
+	}
+	return bodyInt0
 }

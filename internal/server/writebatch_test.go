@@ -166,11 +166,11 @@ func TestWriteBatchCrossShardSplits(t *testing.T) {
 	}
 }
 
-// TestWriteBatchingDisabled pins the opt-out: with MaxWriteBatch < 0 every
-// write runs per-command and the write-batch counters stay zero.
+// TestWriteBatchingDisabled pins the opt-out: with MaxBatch < 0 every write
+// runs per-command and the write-batch counters stay zero.
 func TestWriteBatchingDisabled(t *testing.T) {
 	store := kv.New(kv.Config{Shards: 1, Buckets: 16})
-	srv, ln := startPipeServer(t, store, server.Config{MaxWriteBatch: -1})
+	srv, ln := startPipeServer(t, store, server.Config{MaxBatch: -1})
 	conn := ln.dial()
 	t.Cleanup(func() { conn.Close() })
 
@@ -192,7 +192,10 @@ func TestWriteBatchingDisabled(t *testing.T) {
 		}
 	}
 	if got := metricValue(t, srv, "stmkvd_write_batches_total"); got != 0 {
-		t.Errorf("write batches = %d, want 0 with write batching disabled", got)
+		t.Errorf("write batches = %d, want 0 with batching disabled", got)
+	}
+	if got := metricValue(t, srv, "stmkvd_write_batched_commands_total"); got != 0 {
+		t.Errorf("write batched commands = %d, want 0 with batching disabled", got)
 	}
 }
 

@@ -600,18 +600,25 @@ func (l *Log) completeSync(written uint64, fsynced bool) {
 	if fsynced && written > l.fsynced {
 		l.fsynced = written
 	}
+	if recs > 0 {
+		l.countGroup(recs)
+	}
 	if written > l.synced.Load() {
 		l.synced.Store(written)
 	}
 	l.pcond.Broadcast()
 	l.mu.Unlock()
-	if recs > 0 {
-		l.flushedRecs.Add(uint64(recs))
-		for {
-			max := l.maxGroup.Load()
-			if uint64(recs) <= max || l.maxGroup.CompareAndSwap(max, uint64(recs)) {
-				break
-			}
+}
+
+// countGroup records one flushed group of recs records. Both append paths
+// call it before publishing synced, so a Sync caller that returns already
+// sees its group counted.
+func (l *Log) countGroup(recs int) {
+	l.flushedRecs.Add(uint64(recs))
+	for {
+		max := l.maxGroup.Load()
+		if uint64(recs) <= max || l.maxGroup.CompareAndSwap(max, uint64(recs)) {
+			return
 		}
 	}
 }
@@ -793,13 +800,7 @@ func (l *Log) flush(fsync bool) error {
 		}
 		l.fsyncs.Add(1)
 	}
-	l.flushedRecs.Add(uint64(recs))
-	for {
-		max := l.maxGroup.Load()
-		if uint64(recs) <= max || l.maxGroup.CompareAndSwap(max, uint64(recs)) {
-			break
-		}
-	}
+	l.countGroup(recs)
 	l.synced.Store(target)
 
 	if rotateAt > 0 {
